@@ -158,7 +158,7 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _load_graph_from_json(path: str, args):
+def _load_graph_from_json(path: str):
     data = _read_json(path)
     if not data.get("nodes"):
         raise CliError(f"{path}: empty graph")
@@ -169,7 +169,7 @@ def _load_graph_from_json(path: str, args):
 
 
 def cmd_check_rsm(args) -> int:
-    graph = _load_graph_from_json(args.graph, args)
+    graph = _load_graph_from_json(args.graph)
     try:
         cert = certificates.RsmCert.from_json(_read_json(args.cert), graph)
         verdict = certificates.check_rsm(graph, cert)
@@ -185,7 +185,7 @@ def cmd_check_rsm(args) -> int:
 
 
 def cmd_check_rule(args) -> int:
-    graph = _load_graph_from_json(args.graph, args)
+    graph = _load_graph_from_json(args.graph)
     try:
         cert = certificates.RuleCert.from_json(_read_json(args.cert), graph)
         verdict = certificates.check_proof_rule(graph, cert)
@@ -352,9 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--node-cap", type=int, default=None,
                        help="exploration node cap "
                             "(env PASTLAB_NODE_CAP overrides default)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker count; exploration is deterministic "
-                            "and currently runs sequentially")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--decimal", action="store_true",
                        help="add approximate decimal values")
@@ -448,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate(args):
     if getattr(args, "depth", 1) < 0:
         raise CliError("depth must be non-negative")
-    for name in ("node_cap", "enum_cap", "bound", "jobs"):
+    for name in ("node_cap", "enum_cap", "bound"):
         value = getattr(args, name, None)
         if value is not None and value <= 0:
             raise CliError(f"{name.replace('_', '-')} must be positive")

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional
 
-from .semantics import (ExecState, Exit, Kind, ProgramState, classify,
-                        head_redex, initial_state, is_terminal, step,
-                        step_all)
+from .semantics import (Direction, ExecState, Exit, Kind, ProgramState,
+                        Successor, classify, head_redex, initial_state,
+                        is_terminal, step, step_all)
 from .syntax import Program, print_rational
 from .scheduling import Scheduler, iter_partial_schedules, standard_extension
 
@@ -37,6 +37,36 @@ class ResourceCapExceeded(Exception):
 
 class StateSpaceNotClosed(Exception):
     """The reachable program-state space did not close within the bound."""
+
+
+def _layers(root, depth, node_cap, expand, visit):
+    """Breadth-first walk of layers 0..depth of the tree below `root`.
+
+    visit(d, layer) records layer d and returns what of it to expand;
+    expand(x) returns the children of x, which join the next layer.  Every
+    generated child, and the root, counts against node_cap.  No layer past
+    `depth` is generated, and the walk stops once nothing is left to expand.
+    """
+    layer = [root]
+    count = 1
+    for d in range(depth + 1):
+        frontier = visit(d, layer)
+        if d == depth or not frontier:
+            return
+        layer = []
+        for item in frontier:
+            children = expand(item)
+            count += len(children)
+            if count > node_cap:
+                raise ResourceCapExceeded(
+                    f"exploration exceeds {node_cap} states")
+            layer += children
+
+
+def _root(program: Program) -> Successor:
+    """Layer 0 of a walk whose layers hold step successors.  No step made
+    the root, and its kind is never read."""
+    return Successor(initial_state(program), Kind.DETERMINISTIC)
 
 
 # ---------------------------------------------------------------------------
@@ -100,25 +130,19 @@ def build_tree(program: Program, scheduler: Scheduler, depth: int,
                node_cap: int = DEFAULT_NODE_CAP) -> ExecTree:
     """Breadth-first execution tree from (program, zero valuation, 1, empty
     history) down to the depth cap.  Terminal states are leaves."""
-    root = TreeNode(initial_state(program), 0)
-    levels = [[root]]
-    count = 1
-    for d in range(depth):
-        layer = []
-        for node in levels[d]:
-            if is_terminal(node.state):
-                continue
-            for succ in step(node.state, scheduler):
-                child = TreeNode(succ.state, d + 1)
-                node.children.append((succ.kind, child))
-                layer.append(child)
-                count += 1
-                if count > node_cap:
-                    raise ResourceCapExceeded(
-                        f"execution tree exceeds {node_cap} nodes")
-        if not layer:
-            break
+    levels = []
+
+    def visit(d, layer):
         levels.append(layer)
+        return [node for node in layer if not is_terminal(node.state)]
+
+    def expand(node):
+        node.children = [(succ.kind, TreeNode(succ.state, node.depth + 1))
+                         for succ in step(node.state, scheduler)]
+        return [child for _, child in node.children]
+
+    root = TreeNode(initial_state(program), 0)
+    _layers(root, depth, node_cap, expand, visit)
     return ExecTree(root, depth, levels)
 
 
@@ -151,40 +175,27 @@ class MassProfile:
 def run_masses(program: Program, scheduler: Scheduler, depth: int,
                target: Optional[Callable[[ProgramState], bool]] = None,
                node_cap: int = DEFAULT_NODE_CAP) -> MassProfile:
-    state = initial_state(program)
     hit = [ZERO] * (depth + 1)
     dead = ZERO
-    if target is not None and target(state.program_state()):
-        hit[0] = state.prob
-        return MassProfile(depth, hit, ZERO, [])
-    if is_terminal(state):
-        if target is None:
-            hit[0] = state.prob
-            return MassProfile(depth, hit, ZERO, [])
-        return MassProfile(depth, hit, state.prob, [])
-    frontier = [state]
-    visited = 1
-    for d in range(1, depth + 1):
-        layer = []
-        for st in frontier:
-            for succ in step(st, scheduler):
-                new = succ.state
-                visited += 1
-                if visited > node_cap:
-                    raise ResourceCapExceeded(
-                        f"exploration exceeds {node_cap} states")
-                if target is not None and target(new.program_state()):
-                    hit[d] += new.prob
-                elif is_terminal(new):
-                    if target is None:
-                        hit[d] += new.prob
-                    else:
-                        dead += new.prob
-                else:
-                    layer.append(new)
-        frontier = layer
-        if not frontier:
-            break
+    frontier = []
+
+    def visit(d, layer):
+        nonlocal dead, frontier
+        frontier = []
+        for succ in layer:
+            st = succ.state
+            if target is not None and target(st.program_state()):
+                hit[d] += st.prob
+            elif not is_terminal(st):
+                frontier.append(st)
+            elif target is None:
+                hit[d] += st.prob
+            else:
+                dead += st.prob
+        return frontier
+
+    _layers(_root(program), depth, node_cap,
+            lambda st: step(st, scheduler), visit)
     return MassProfile(depth, hit, dead, frontier)
 
 
@@ -243,24 +254,19 @@ def collect_nondet_queries(program: Program, depth: int,
     """Histories at which some execution can query the scheduler within
     `depth` steps, exploring both directions of every choice."""
     queries = set()
-    frontier = [initial_state(program)]
-    visited = 1
-    for _ in range(depth):
-        layer = []
-        for st in frontier:
-            if is_terminal(st):
-                continue
-            if classify(st.program_state()) == "nondet":
-                queries.add(st.history)
-            for succ in step_all(st):
-                layer.append(succ.state)
-                visited += 1
-                if visited > node_cap:
-                    raise ResourceCapExceeded(
-                        f"query collection exceeds {node_cap} states")
-        frontier = layer
-        if not frontier:
-            break
+
+    def visit(d, layer):
+        live = []
+        for succ in layer:
+            st = succ.state
+            if not is_terminal(st):
+                if classify(st.program_state()) == "nondet":
+                    queries.add(st.history)
+                live.append(st)
+        return live
+
+    # The query of a layer-d state is made by step d + 1: layers 0..depth-1.
+    _layers(_root(program), depth - 1, node_cap, step_all, visit)
     return queries
 
 
@@ -302,26 +308,15 @@ def artery_widths(program: Program, scheduler: Scheduler, depth: int,
     are not counted as live.
     """
     widths = []
-    frontier = [initial_state(program)]
-    visited = 1
-    for _ in range(depth + 1):
-        live = [s for s in frontier
-                if not is_terminal(s)
-                and not isinstance(head_redex(s.program), Exit)]
-        widths.append(len(live))
-        layer = []
-        for st in frontier:
-            if is_terminal(st):
-                continue
-            for succ in step(st, scheduler):
-                layer.append(succ.state)
-                visited += 1
-                if visited > node_cap:
-                    raise ResourceCapExceeded(
-                        f"exploration exceeds {node_cap} states")
-        frontier = layer
-        if not frontier:
-            break
+
+    def visit(d, layer):
+        live = [succ.state for succ in layer if not is_terminal(succ.state)]
+        widths.append(sum(not isinstance(head_redex(st.program), Exit)
+                          for st in live))
+        return live
+
+    _layers(_root(program), depth, node_cap,
+            lambda st: step(st, scheduler), visit)
     return widths
 
 
@@ -352,9 +347,6 @@ class StateGraph:
 
     def key_index(self) -> dict:
         return {self.states[i].key(): i for i in range(len(self.states))}
-
-    def terminal_nodes(self) -> set:
-        return {i for i, k in enumerate(self.kinds) if k == "terminal"}
 
     def reachable_from(self, start: int) -> set:
         seen = {start}
@@ -420,13 +412,12 @@ def collapse_to_state_graph(program: Program, bound: int) -> StateGraph:
     while todo:
         node = todo.pop()
         ps = states[node]
-        if kinds[node] == "terminal":
+        kind = kinds[node]
+        if kind == "terminal":
             continue
         out = []
         exec_state = ExecState(ps.program, ps.valuation, ONE, ())
-        successors = step_all(exec_state)
-        kind = kinds[node]
-        for succ in successors:
+        for succ in step_all(exec_state):
             child = succ.state.program_state()
             if child not in index:
                 if len(states) >= bound:
@@ -436,21 +427,14 @@ def collapse_to_state_graph(program: Program, bound: int) -> StateGraph:
                 states.append(child)
                 kinds.append(classify(child))
                 todo.append(index[child])
-            dst = index[child]
             if kind == "nondet":
-                label = ("nondet-left" if succ.kind == Kind.NONDET
-                         and succ.state.history
-                         and succ.state.history[-1].value == "Ln"
-                         else "nondet-right")
-                out.append(Edge(node, label, dst))
+                left = succ.state.history[-1] is Direction.Ln
+                label = "nondet-left" if left else "nondet-right"
             elif kind == "prob":
-                if succ.kind == Kind.PROB_LEFT:
-                    out.append(Edge(node, "prob-left", dst,
-                                    succ.state.prob))
-                else:
-                    out.append(Edge(node, "prob-right", dst,
-                                    succ.state.prob))
+                label = succ.kind.value
             else:
-                out.append(Edge(node, "det", dst))
+                label = "det"
+            out.append(Edge(node, label, index[child],
+                            succ.state.prob if kind == "prob" else None))
         edges[node] = out
     return StateGraph(states, kinds, edges, 0)

@@ -20,7 +20,6 @@ Step conventions:
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -224,10 +223,9 @@ class _Branch:
     direction: Optional[Direction]
     kind: Kind
     aborts: bool  # an exit collapses every enclosing sequence context
-    site: Optional[NondetChoice] = None
 
 
-def _head_branches(program, valuation, prob, history, scheduler):
+def _head_branches(program, valuation, history, scheduler):
     """Successor branches of the leftmost redex, ignoring Seq context."""
     if isinstance(program, Assign):
         value = eval_aexpr(program.expr, valuation)
@@ -270,21 +268,21 @@ def _head_branches(program, valuation, prob, history, scheduler):
             # Caller wants both directions (full branching exploration).
             return [
                 _Branch(program.left, valuation, None, Direction.Ln,
-                        Kind.NONDET, False, site=program),
+                        Kind.NONDET, False),
                 _Branch(program.right, valuation, None, Direction.Rn,
-                        Kind.NONDET, False, site=program),
+                        Kind.NONDET, False),
             ]
         direction = scheduler.decide(history, site=program)
         if direction == Direction.Ln:
             return [_Branch(program.left, valuation, None, Direction.Ln,
-                            Kind.NONDET, False, site=program)]
+                            Kind.NONDET, False)]
         return [_Branch(program.right, valuation, None, Direction.Rn,
-                        Kind.NONDET, False, site=program)]
+                        Kind.NONDET, False)]
     if isinstance(program, Seq):
         if isinstance(program.first, Empty):
             return [_Branch(program.rest, valuation, None, None,
                             Kind.DETERMINISTIC, False)]
-        branches = _head_branches(program.first, valuation, prob, history,
+        branches = _head_branches(program.first, valuation, history,
                                   scheduler)
         out = []
         for br in branches:
@@ -292,7 +290,7 @@ def _head_branches(program, valuation, prob, history, scheduler):
             # rest of the sequence is still pending.
             new_prog = br.program if br.aborts else Seq(br.program, program.rest)
             out.append(_Branch(new_prog, br.valuation, br.prob_factor,
-                               br.direction, br.kind, br.aborts, br.site))
+                               br.direction, br.kind, br.aborts))
         return out
     raise TerminalStepError(f"cannot step program {program!r}")
 
@@ -302,12 +300,13 @@ def step(state: ExecState, scheduler) -> StepOutcome:
 
     Returns one successor, or two for a genuine probabilistic split (in which
     case the successor probabilities sum to the parent's).  The scheduler is
-    consulted only when the redex is a nondeterministic choice.
+    consulted only when the redex is a nondeterministic choice; with no
+    scheduler both directions of the choice are successors.
     """
     if is_terminal(state):
         raise TerminalStepError("cannot step a terminal state")
-    branches = _head_branches(state.program, state.valuation, state.prob,
-                              state.history, scheduler)
+    branches = _head_branches(state.program, state.valuation, state.history,
+                              scheduler)
     out = []
     for br in branches:
         prob = state.prob if br.prob_factor is None \
@@ -321,19 +320,7 @@ def step(state: ExecState, scheduler) -> StepOutcome:
 
 def step_all(state: ExecState) -> StepOutcome:
     """Like step, but expands both directions of a nondeterministic choice."""
-    if is_terminal(state):
-        raise TerminalStepError("cannot step a terminal state")
-    branches = _head_branches(state.program, state.valuation, state.prob,
-                              state.history, None)
-    out = []
-    for br in branches:
-        prob = state.prob if br.prob_factor is None \
-            else state.prob * br.prob_factor
-        history = state.history if br.direction is None \
-            else state.history + (br.direction,)
-        out.append(Successor(ExecState(br.program, br.valuation, prob,
-                                       history), br.kind))
-    return out
+    return step(state, None)
 
 
 def head_redex(program: Program) -> Program:
@@ -359,7 +346,3 @@ def classify(ps: ProgramState) -> str:
         if 0 < p < 1:
             return "prob"
     return "deterministic"
-
-
-def dumps_state(state: ExecState) -> str:
-    return json.dumps(state.to_json())

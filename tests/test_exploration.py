@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 
 from pastlab.exploration import (ResourceCapExceeded, StateGraph,
-                                 StateSpaceNotClosed, ast_semicheck,
-                                 build_tree, collapse_to_state_graph,
+                                 StateSpaceNotClosed, artery_widths,
+                                 ast_semicheck, build_tree,
+                                 collapse_to_state_graph,
+                                 collect_nondet_queries,
                                  exp_reach_runtime_bounds, exp_runtime_bounds,
                                  run_masses, termination_prob_upto)
 from pastlab.scheduling import RandomScheduler, constant, Ln
-from pastlab.semantics import is_terminal
+from pastlab.semantics import initial_state, is_terminal, step
 from pastlab.syntax import parse
 from conftest import ballot_walk_oracle, geometric_series_limit, random_program
 
@@ -16,6 +18,9 @@ RANDOM_WALK = parse("x := 1; while (x != 0) "
                     "{ { x := x + 1 } <1/2> { x := x - 1 } }")
 GEOMETRIC = parse("while (x = 0) { { skip } <1/2> { exit } }")
 SPIN = parse("while (true) { skip }")
+CHOICE_LOOP = parse("x := 0; y := 0; z := 1; while (x + y = 0) "
+                    "{ { y := 0 } [] { y := 1 }; "
+                    "{ x := 0 } <1/2> { x := 1 }; z := 4 * z }")
 
 
 def hit_depths(profile):
@@ -60,6 +65,41 @@ def test_build_tree_conservation_vs_brute_force():
 def test_build_tree_node_cap():
     with pytest.raises(ResourceCapExceeded):
         build_tree(RANDOM_WALK, constant(Ln), 40, node_cap=100)
+
+
+def states_in_layers(program, scheduler, last):
+    """States in layers 0..last of the execution tree, by recursion."""
+    def count(state, depth):
+        if depth == last or is_terminal(state):
+            return 1
+        return 1 + sum(count(s.state, depth + 1)
+                       for s in step(state, scheduler))
+    return count(initial_state(program), 0)
+
+
+@pytest.mark.parametrize("analysis, needed", [
+    (lambda cap: build_tree(RANDOM_WALK, constant(Ln), 10, node_cap=cap),
+     states_in_layers(RANDOM_WALK, constant(Ln), 10)),
+    (lambda cap: run_masses(RANDOM_WALK, constant(Ln), 10, node_cap=cap),
+     states_in_layers(RANDOM_WALK, constant(Ln), 10)),
+    (lambda cap: artery_widths(RANDOM_WALK, constant(Ln), 10, node_cap=cap),
+     states_in_layers(RANDOM_WALK, constant(Ln), 10)),
+    # The queries made within 12 steps are those of layers 0..11.
+    (lambda cap: collect_nondet_queries(CHOICE_LOOP, 12, node_cap=cap),
+     states_in_layers(CHOICE_LOOP, None, 11)),
+], ids=["build_tree", "run_masses", "artery_widths", "collect_nondet_queries"])
+def test_node_cap_admits_exactly_the_states_needed(analysis, needed):
+    analysis(needed)
+    with pytest.raises(ResourceCapExceeded):
+        analysis(needed - 1)
+
+
+def test_no_unread_layer_counts_against_the_cap():
+    # 18 states fill the 11 reported artery layers and the 12 layers whose
+    # queries are collected; a layer beyond them must not be generated.
+    assert artery_widths(RANDOM_WALK, constant(Ln), 10, node_cap=18) == \
+        [1, 1, 1, 1, 2, 2, 2, 1, 2, 2, 2]
+    assert collect_nondet_queries(CHOICE_LOOP, 12, node_cap=18) == {()}
 
 
 def test_termination_prob_trivial():
