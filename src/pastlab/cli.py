@@ -54,12 +54,19 @@ def _write_output(text: str, path):
 
 
 def _node_cap(args) -> int:
-    env = os.environ.get("PASTLAB_NODE_CAP")
     if args.node_cap is not None:
         return args.node_cap
-    if env is not None:
-        return int(env)
-    return exploration.DEFAULT_NODE_CAP
+    env = os.environ.get("PASTLAB_NODE_CAP")
+    if env is None:
+        return exploration.DEFAULT_NODE_CAP
+    try:
+        cap = int(env)
+    except ValueError as exc:
+        raise CliError(f"PASTLAB_NODE_CAP must be an integer, "
+                       f"not {env!r}") from exc
+    if cap <= 0:
+        raise CliError("node-cap must be positive")
+    return cap
 
 
 def _scheduler(args):
@@ -100,13 +107,15 @@ def cmd_run(args) -> int:
             "depth": args.depth,
             "terminal_mass": print_rational(terminal),
             "frontier_mass": print_rational(frontier),
-            "frontier_states": [s.to_json() for s in profile.frontier],
+            "frontier_states": [
+                {**s.to_json(), "paths": paths}
+                for s, paths in zip(profile.frontier, profile.frontier_paths)],
         }))
     else:
         print(f"depth: {args.depth}")
         print(f"terminal mass: {_fmt(terminal, args)}")
         print(f"frontier mass: {_fmt(frontier, args)} "
-              f"({len(profile.frontier)} states)")
+              f"({sum(profile.frontier_paths)} states)")
     return 0
 
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional
 
-from .semantics import (Direction, ExecState, Exit, Kind, ProgramState,
-                        Successor, classify, head_redex, initial_state,
-                        is_terminal, step, step_all)
+from .semantics import (Direction, ExecState, Exit, ProgramState, classify,
+                        head_redex, initial_state, is_terminal, step,
+                        step_all)
 from .syntax import Program, print_rational
 from .scheduling import Scheduler, iter_partial_schedules, standard_extension
 
@@ -39,34 +39,69 @@ class StateSpaceNotClosed(Exception):
     """The reachable program-state space did not close within the bound."""
 
 
-def _layers(root, depth, node_cap, expand, visit):
+def _layers(root, depth, node_cap, expand, visit, key=None):
     """Breadth-first walk of layers 0..depth of the tree below `root`.
 
-    visit(d, layer) records layer d and returns what of it to expand;
-    expand(x) returns the children of x, which join the next layer.  Every
-    generated child, and the root, counts against node_cap.  No layer past
+    A layer is a list of (item, paths) entries, where paths counts the tree
+    paths the entry stands for.  visit(d, layer) records layer d and returns
+    the entries to expand; expand(item) returns the children of item, each
+    of which joins the next layer with its parent's path count.  Every
+    generated path, and the root, counts against node_cap.  No layer past
     `depth` is generated, and the walk stops once nothing is left to expand.
+
+    With a key, items are ExecStates and each generated layer is merged by
+    key(state) (see _merged); without one every entry is a single path.
     """
-    layer = [root]
+    layer = [(root, 1)]
     count = 1
     for d in range(depth + 1):
         frontier = visit(d, layer)
         if d == depth or not frontier:
             return
         layer = []
-        for item in frontier:
+        for item, paths in frontier:
             children = expand(item)
-            count += len(children)
+            count += len(children) * paths
             if count > node_cap:
                 raise ResourceCapExceeded(
                     f"exploration exceeds {node_cap} states")
-            layer += children
+            for child in children:
+                layer.append((child, paths))
+        if key is not None:
+            layer = _merged(layer, key)
 
 
-def _root(program: Program) -> Successor:
-    """Layer 0 of a walk whose layers hold step successors.  No step made
-    the root, and its kind is never read."""
-    return Successor(initial_state(program), Kind.DETERMINISTIC)
+def _merged(layer, key):
+    """One entry per distinct key(state) of a layer of (ExecState, paths)
+    entries, carrying the summed prob and path count and an empty history.
+
+    Only a scheduler that never reads the history may have its layers
+    merged.  A layer of one entry is not keyed, since hashing a program
+    walks its whole term; nor is a layer whose program is too deep to hash,
+    which then stays one entry per path.
+    """
+    groups = [(state, state.prob, paths) for state, paths in layer]
+    if len(groups) > 1:
+        by_key = {}
+        try:
+            for state, prob, paths in groups:
+                k = key(state)
+                same = by_key.get(k)
+                if same is None:
+                    by_key[k] = [state, prob, paths]
+                else:
+                    same[1] += prob
+                    same[2] += paths
+            groups = by_key.values()
+        except RecursionError:
+            pass
+    return [(ExecState(state.program, state.valuation, prob, ()), paths)
+            for state, prob, paths in groups]
+
+
+def _successor_states(scheduler):
+    """expand for walks whose layers hold ExecStates."""
+    return lambda state: [succ.state for succ in step(state, scheduler)]
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +168,8 @@ def build_tree(program: Program, scheduler: Scheduler, depth: int,
     levels = []
 
     def visit(d, layer):
-        levels.append(layer)
-        return [node for node in layer if not is_terminal(node.state)]
+        levels.append([node for node, _ in layer])
+        return [entry for entry in layer if not is_terminal(entry[0].state)]
 
     def expand(node):
         node.children = [(succ.kind, TreeNode(succ.state, node.depth + 1))
@@ -157,13 +192,18 @@ class MassProfile:
     hit_mass[d] is the probability mass first absorbed at depth d (reaching a
     terminal state, or the target for reachability runs).  dead_mass is mass
     that terminated without ever hitting the target and so never will.
-    frontier holds the live states at the final explored depth.
+    frontier holds the live states at the final explored depth: one entry
+    per path, or, under a memoryless scheduler, one per distinct program
+    state with the paths' probabilities summed and an empty history.
+    frontier_paths[i] is the number of execution-tree paths frontier[i]
+    stands for.
     """
 
     depth: int
     hit_mass: List[Fraction]
     dead_mass: Fraction
     frontier: List[ExecState]
+    frontier_paths: List[int]
 
     def cumulative_hit(self, k: int) -> Fraction:
         return sum(self.hit_mass[:k + 1], ZERO)
@@ -182,21 +222,25 @@ def run_masses(program: Program, scheduler: Scheduler, depth: int,
     def visit(d, layer):
         nonlocal dead, frontier
         frontier = []
-        for succ in layer:
-            st = succ.state
+        for entry in layer:
+            st = entry[0]
             if target is not None and target(st.program_state()):
                 hit[d] += st.prob
             elif not is_terminal(st):
-                frontier.append(st)
+                frontier.append(entry)
             elif target is None:
                 hit[d] += st.prob
             else:
                 dead += st.prob
         return frontier
 
-    _layers(_root(program), depth, node_cap,
-            lambda st: step(st, scheduler), visit)
-    return MassProfile(depth, hit, dead, frontier)
+    # A memoryless scheduler gives equal program states equal futures.
+    key = (lambda st: (st.program, st.valuation)) \
+        if scheduler.memoryless else None
+    _layers(initial_state(program), depth, node_cap,
+            _successor_states(scheduler), visit, key)
+    return MassProfile(depth, hit, dead, [st for st, _ in frontier],
+                       [paths for _, paths in frontier])
 
 
 def termination_prob_upto(program: Program, scheduler: Scheduler, k: int,
@@ -257,16 +301,18 @@ def collect_nondet_queries(program: Program, depth: int,
 
     def visit(d, layer):
         live = []
-        for succ in layer:
-            st = succ.state
+        for entry in layer:
+            st = entry[0]
             if not is_terminal(st):
                 if classify(st.program_state()) == "nondet":
                     queries.add(st.history)
-                live.append(st)
+                live.append(entry)
         return live
 
     # The query of a layer-d state is made by step d + 1: layers 0..depth-1.
-    _layers(_root(program), depth - 1, node_cap, step_all, visit)
+    # With no scheduler, step expands both directions of a choice.
+    _layers(initial_state(program), depth - 1, node_cap,
+            _successor_states(None), visit)
     return queries
 
 
@@ -310,13 +356,13 @@ def artery_widths(program: Program, scheduler: Scheduler, depth: int,
     widths = []
 
     def visit(d, layer):
-        live = [succ.state for succ in layer if not is_terminal(succ.state)]
+        live = [entry for entry in layer if not is_terminal(entry[0])]
         widths.append(sum(not isinstance(head_redex(st.program), Exit)
-                          for st in live))
+                          for st, _ in live))
         return live
 
-    _layers(_root(program), depth, node_cap,
-            lambda st: step(st, scheduler), visit)
+    _layers(initial_state(program), depth, node_cap,
+            _successor_states(scheduler), visit)
     return widths
 
 

@@ -32,11 +32,18 @@ class EnumerationTooLarge(Exception):
 
 
 class Scheduler:
+    # True when decide() never reads the history, so that two paths reaching
+    # the same program state have the same future and exploration may merge
+    # them.
+    memoryless = False
+
     def decide(self, history, site=None) -> Direction:
         raise NotImplementedError
 
 
 class ConstantScheduler(Scheduler):
+    memoryless = True
+
     def __init__(self, direction: Direction):
         self.direction = direction
 

@@ -1,14 +1,18 @@
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
+from pastlab import exploration
 from pastlab.cli import main
 from pastlab.exploration import StateGraph
 from pastlab.certificates import in_loop_rsm_from_bound
 from pastlab.syntax import parse
 
 GEOMETRIC = "while (x = 0) { { skip } <1/2> { exit } }\n"
+RANDOM_WALK = str(pathlib.Path(__file__).resolve().parent.parent
+                  / "programs" / "random_walk.pgcl")
 
 
 @pytest.fixture
@@ -212,3 +216,63 @@ def test_seeded_runs_reproducible(tmp_path, capsys):
                      "--scheduler", "random:9", "--format", "json"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("value, message", [
+    ("abc", "error: PASTLAB_NODE_CAP must be an integer, not 'abc'\n"),
+    ("-5", "error: node-cap must be positive\n"),
+    ("0", "error: node-cap must be positive\n"),
+])
+def test_node_cap_env_rejects_bad_values(geometric_file, monkeypatch, capsys,
+                                         value, message):
+    monkeypatch.setenv("PASTLAB_NODE_CAP", value)
+    assert main(["run", geometric_file, "--depth", "30"]) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_run_random_walk_output_pinned(capsys):
+    assert main(["run", RANDOM_WALK, "--depth", "60"]) == 0
+    assert capsys.readouterr().out == (
+        "depth: 60\nterminal mass: 1619/2048\n"
+        "frontier mass: 429/2048 (6864 states)\n")
+
+
+def test_memoryless_run_merges_equal_states(monkeypatch, capsys):
+    # Per path this run makes 28831 steps; merged, it makes one per
+    # distinct live state per depth, 319 over depths 0..59.
+    calls = 0
+    real_step = exploration.step
+
+    def counting_step(state, scheduler):
+        nonlocal calls
+        calls += 1
+        return real_step(state, scheduler)
+
+    monkeypatch.setattr(exploration, "step", counting_step)
+    assert main(["run", RANDOM_WALK, "--depth", "60"]) == 0
+    assert "(6864 states)" in capsys.readouterr().out
+    assert calls < 400
+
+
+@pytest.mark.parametrize("scheduler", ["const:Ln", "alt"])
+def test_run_json_frontier_paths(tmp_path, capsys, scheduler):
+    choice = tmp_path / "choice.pgcl"
+    choice.write_text("x := 3; while (x > 0) { { x := x - 1 } [] "
+                      "{ skip }; { x := x + 1 } <1/3> { x := x - 1 } }\n")
+    common = ["run", str(choice), "--depth", "40", "--scheduler", scheduler]
+    assert main(common) == 0
+    text = capsys.readouterr().out
+    assert main(common + ["--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    states = data["frontier_states"]
+    paths = sum(s["paths"] for s in states)
+    assert f"({paths} states)" in text
+    assert sum(Fraction(s["prob"]) for s in states) == \
+        Fraction(data["frontier_mass"])
+    if scheduler == "alt":
+        assert all(s["paths"] == 1 and s["history"] for s in states)
+    else:
+        assert paths > len(states)
+        assert all(s["history"] == "" for s in states)
+        assert len({(s["program"], tuple(sorted(s["valuation"].items())))
+                    for s in states}) == len(states)

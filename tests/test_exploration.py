@@ -9,10 +9,11 @@ from pastlab.exploration import (ResourceCapExceeded, StateGraph,
                                  collect_nondet_queries,
                                  exp_reach_runtime_bounds, exp_runtime_bounds,
                                  run_masses, termination_prob_upto)
-from pastlab.scheduling import RandomScheduler, constant, Ln
+from pastlab.scheduling import RandomScheduler, constant, Ln, Rn
 from pastlab.semantics import initial_state, is_terminal, step
 from pastlab.syntax import parse
-from conftest import ballot_walk_oracle, geometric_series_limit, random_program
+from conftest import (ballot_walk_oracle, geometric_series_limit,
+                      random_active_program, random_program)
 
 RANDOM_WALK = parse("x := 1; while (x != 0) "
                     "{ { x := x + 1 } <1/2> { x := x - 1 } }")
@@ -100,6 +101,92 @@ def test_no_unread_layer_counts_against_the_cap():
     assert artery_widths(RANDOM_WALK, constant(Ln), 10, node_cap=18) == \
         [1, 1, 1, 1, 2, 2, 2, 1, 2, 2, 2]
     assert collect_nondet_queries(CHOICE_LOOP, 12, node_cap=18) == {()}
+
+
+def per_path_reference(tree, target=None):
+    """hit_mass, dead_mass, live mass per program state at the depth cap and
+    the number of live paths there, read off the per-path execution tree."""
+    hit = [Fraction(0)] * (tree.depth_cap + 1)
+    dead = Fraction(0)
+    live = {}
+    paths = 0
+    todo = [tree.root]
+    while todo:
+        node = todo.pop()
+        st = node.state
+        if target is not None and target(st.program_state()):
+            hit[node.depth] += st.prob
+        elif is_terminal(st):
+            if target is None:
+                hit[node.depth] += st.prob
+            else:
+                dead += st.prob
+        elif node.depth == tree.depth_cap:
+            ps = st.program_state()
+            live[ps] = live.get(ps, Fraction(0)) + st.prob
+            paths += 1
+        else:
+            todo.extend(child for _, child in node.children)
+    return hit, dead, live, paths
+
+
+def merged_frontier(profile):
+    live = {}
+    for st in profile.frontier:
+        ps = st.program_state()
+        assert ps not in live and st.history == ()
+        live[ps] = st.prob
+    return live
+
+
+def test_merged_run_masses_match_per_path_tree(rng):
+    cases = [(RANDOM_WALK, 30), (GEOMETRIC, 30), (CHOICE_LOOP, 30)]
+    cases += [(random_program(rng, 4), 8) for _ in range(40)]
+    cases += [(random_active_program(rng), 20) for _ in range(30)]
+    targets = [lambda ps: ps.valuation.get("x") >= 2,
+               lambda ps: ps.valuation.get("x") == 1]
+    merged_some = False
+    for program, depth in cases:
+        for direction in (Ln, Rn):
+            scheduler = constant(direction)
+            try:
+                tree = build_tree(program, scheduler, depth, node_cap=4000)
+            except ResourceCapExceeded:
+                continue
+            hit, _, live, paths = per_path_reference(tree)
+            profile = run_masses(program, scheduler, depth)
+            assert profile.hit_mass == hit
+            assert merged_frontier(profile) == live
+            assert profile.frontier_mass() == sum(live.values(), Fraction(0))
+            assert sum(profile.frontier_paths) == paths
+            merged_some |= len(profile.frontier) < paths
+
+            for target in targets:
+                hit, dead, live, paths = per_path_reference(tree, target)
+                profile = run_masses(program, scheduler, depth,
+                                     target=target)
+                assert profile.hit_mass == hit
+                assert profile.dead_mass == dead
+                assert merged_frontier(profile) == live
+                assert sum(profile.frontier_paths) == paths
+
+            # The cap counts paths, so it admits exactly the tree's nodes.
+            needed = tree.node_count()
+            run_masses(program, scheduler, depth, node_cap=needed)
+            with pytest.raises(ResourceCapExceeded):
+                run_masses(program, scheduler, depth, node_cap=needed - 1)
+    assert merged_some
+
+
+def test_program_too_deep_to_hash_runs_per_path():
+    # Hashing a term recurses once per statement, so a long program's
+    # states cannot be keyed; its layers stay one entry per path.
+    body = "; ".join(f"y := {i}" for i in range(1500))
+    program = parse("{ skip } <1/2> { skip }; " + body)
+    profile = run_masses(program, constant(Ln), 6)
+    assert profile.frontier_paths == [1, 1]
+    assert profile.frontier_mass() == 1
+    assert all(st.history == () for st in profile.frontier)
 
 
 def test_termination_prob_trivial():
