@@ -45,15 +45,19 @@ class RsmCert:
         return self.h[node]
 
     def to_json(self, graph: StateGraph) -> dict:
+        keys = graph.node_keys()
         return {
             "epsilon": print_rational(self.epsilon),
-            "h": {graph.node_key(i): print_rational(v)
+            "h": {keys[i]: print_rational(v)
                   for i, v in sorted(self.h.items())},
         }
 
     @staticmethod
-    def from_json(data: dict, graph: StateGraph) -> "RsmCert":
-        index = graph.key_index()
+    def from_json(data: dict, graph: StateGraph,
+                  index: Optional[dict] = None) -> "RsmCert":
+        """`index` is the graph's key index, when the caller already has it."""
+        if index is None:
+            index = graph.key_index()
         h = {}
         for key, value in data.get("h", {}).items():
             if key not in index:
@@ -68,10 +72,11 @@ class RuleCert:
     k: dict  # non-terminal node id -> RsmCert
 
     def to_json(self, graph: StateGraph) -> dict:
+        keys = graph.node_keys()
         return {
-            "g": {graph.node_key(i): print_ordinal(v)
+            "g": {keys[i]: print_ordinal(v)
                   for i, v in sorted(self.g.items())},
-            "k": {graph.node_key(i): cert.to_json(graph)
+            "k": {keys[i]: cert.to_json(graph)
                   for i, cert in sorted(self.k.items())},
         }
 
@@ -87,7 +92,7 @@ class RuleCert:
         for key, value in data.get("k", {}).items():
             if key not in index:
                 raise CertificateError(f"certificate names unknown state {key!r}")
-            k[index[key]] = RsmCert.from_json(value, graph)
+            k[index[key]] = RsmCert.from_json(value, graph, index)
         return RuleCert(g, k)
 
 
@@ -159,13 +164,17 @@ def rsm_bound(cert: RsmCert, node: int) -> Fraction:
     return cert.value(node) / cert.epsilon
 
 
-def lower_set(graph: StateGraph, g: dict, node: int) -> set:
-    """Nodes reachable from `node` whose rank is strictly below its own."""
+def lower_set(graph: StateGraph, g: dict, node: int,
+              reach: Optional[set] = None) -> set:
+    """Nodes reachable from `node` whose rank is strictly below its own;
+    `reach` is that reachable cone, when the caller already has it."""
     if node not in g:
         raise CertificateError(f"rank missing node {node}")
     rank = g[node]
+    if reach is None:
+        reach = graph.reachable_from(node)
     out = set()
-    for other in graph.reachable_from(node):
+    for other in reach:
         if other not in g:
             raise CertificateError(f"rank missing node {other}")
         if g[other] < rank:
@@ -197,7 +206,7 @@ def check_proof_rule(graph: StateGraph, cert: RuleCert) -> Verdict:
             raise CertificateError(f"certification missing node {node}")
         rsm = cert.k[node]
         reach = graph.reachable_from(node)
-        lower = lower_set(graph, cert.g, node)
+        lower = lower_set(graph, cert.g, node, reach)
         expected_zero = lower | (all_nodes - reach)
         for other in sorted(all_nodes):
             value = rsm.value(other)
@@ -264,27 +273,80 @@ def _trapped_subregion(graph: StateGraph, region: set) -> set:
     return trapped
 
 
-def worst_case_exit_times(graph: StateGraph, region: set) -> Dict[int, Fraction]:
-    """Exact least fixpoint of  t = 1 + (max | mixture | successor)  over the
-    region, i.e. the scheduler-worst expected number of steps to leave it.
+def _components(graph: StateGraph, region: set) -> List[List[int]]:
+    """Strongly connected components of the region's internal edges, by an
+    iterative Tarjan pass, in reverse topological order: each component
+    comes after every component it can reach."""
+    def inside(node):
+        return (e.dst for e in graph.edges.get(node, ()) if e.dst in region)
 
-    Solved by policy iteration with exact linear solves; raises
-    FixpointDiverges when some scheduler never leaves the region.
-    """
-    region = set(region)
-    for node in region:
-        if graph.kinds[node] == "terminal":
-            raise FixpointDiverges("terminal state inside the region never exits")
-    if _trapped_subregion(graph, region):
+    index, low = {}, {}
+    stack, on_stack = [], set()
+    components = []
+    for root in sorted(region):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, inside(root))]
+        while work:
+            node, successors = work[-1]
+            for succ in successors:
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, inside(succ)))
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
+
+
+def _acyclic_exit_time(graph: StateGraph, node: int, known: dict) -> Fraction:
+    """1 + (successor | max | mixture) for a node whose successors all have
+    known exit times; nodes outside the region count as 0."""
+    edges = graph.edges.get(node, ())
+    if not edges:
         raise FixpointDiverges("region not uniformly exit-bounded")
-    order = sorted(region)
-    index = {node: i for i, node in enumerate(order)}
-    policy = {}
-    for node in order:
-        if graph.kinds[node] == "nondet":
-            policy[node] = graph.edges[node][0].dst
+    kind = graph.kinds[node]
+    if kind == "deterministic":
+        after = known.get(edges[0].dst, ZERO)
+    elif kind == "nondet":
+        after = max(known.get(e.dst, ZERO) for e in edges)
+    else:  # prob
+        after = sum((e.prob * known.get(e.dst, ZERO) for e in edges), ZERO)
+    return ONE + after
 
-    def solve(current_policy):
+
+def _cyclic_exit_times(graph: StateGraph, component: List[int],
+                       known: dict) -> Dict[int, Fraction]:
+    """Howard policy iteration over one cyclic component with exact linear
+    solves; exits from the component enter the right-hand side through the
+    exit times in `known` (0 outside the region)."""
+    if _trapped_subregion(graph, set(component)):
+        raise FixpointDiverges("region not uniformly exit-bounded")
+    order = sorted(component)
+    index = {node: i for i, node in enumerate(order)}
+    policy = {node: graph.edges[node][0].dst for node in order
+              if graph.kinds[node] == "nondet"}
+
+    def evaluate():
         size = len(order)
         rows = [[ZERO] * size for _ in range(size)]
         rhs = [ONE] * size
@@ -293,38 +355,59 @@ def worst_case_exit_times(graph: StateGraph, region: set) -> Dict[int, Fraction]
             rows[i][i] = ONE
             kind = graph.kinds[node]
             if kind == "deterministic":
-                succ = graph.edges[node][0].dst
-                if succ in index:
-                    rows[i][index[succ]] -= ONE
+                targets = [(graph.edges[node][0].dst, ONE)]
             elif kind == "nondet":
-                succ = current_policy[node]
-                if succ in index:
-                    rows[i][index[succ]] -= ONE
+                targets = [(policy[node], ONE)]
             else:  # prob
-                for edge in graph.edges[node]:
-                    if edge.dst in index:
-                        rows[i][index[edge.dst]] -= edge.prob
+                targets = [(e.dst, e.prob) for e in graph.edges[node]]
+            for dst, weight in targets:
+                if dst in index:
+                    rows[i][index[dst]] -= weight
+                else:
+                    rhs[i] += weight * known.get(dst, ZERO)
         solution = _solve_linear(rows, rhs)
         if solution is None or any(v < 0 for v in solution):
             raise FixpointDiverges("policy evaluation has no finite solution")
         return {node: solution[index[node]] for node in order}
 
     while True:
-        values = solve(policy)
+        values = evaluate()
 
         def val(dst):
-            return values[dst] if dst in values else ZERO
+            return values[dst] if dst in values else known.get(dst, ZERO)
 
         improved = False
-        for node in order:
-            if graph.kinds[node] != "nondet":
-                continue
+        for node in policy:
             best = max(graph.edges[node], key=lambda e: val(e.dst))
             if val(best.dst) > val(policy[node]):
                 policy[node] = best.dst
                 improved = True
         if not improved:
             return values
+
+
+def worst_case_exit_times(graph: StateGraph, region: set) -> Dict[int, Fraction]:
+    """Exact least fixpoint of  t = 1 + (max | mixture | successor)  over the
+    region, i.e. the scheduler-worst expected number of steps to leave it.
+
+    The region's strongly connected components are solved sinks first: a
+    node on no cycle takes its value from its successors in one step, and
+    only a cyclic component runs policy iteration with exact linear solves.
+    Raises FixpointDiverges when some scheduler never leaves the region.
+    """
+    region = set(region)
+    for node in region:
+        if graph.kinds[node] == "terminal":
+            raise FixpointDiverges("terminal state inside the region never exits")
+    known: Dict[int, Fraction] = {}
+    for component in _components(graph, region):
+        node = component[0]
+        if len(component) == 1 and all(e.dst != node
+                                       for e in graph.edges.get(node, ())):
+            known[node] = _acyclic_exit_time(graph, node, known)
+        else:
+            known.update(_cyclic_exit_times(graph, component, known))
+    return {node: known[node] for node in sorted(region)}
 
 
 def in_loop_rsm_from_bound(graph: StateGraph, region: Iterable[int],

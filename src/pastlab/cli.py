@@ -173,7 +173,8 @@ def _load_graph_from_json(path: str):
         raise CliError(f"{path}: empty graph")
     try:
         return exploration.StateGraph.from_json(data)
-    except (ParseError, KeyError, ValueError) as exc:
+    except (ParseError, KeyError, ValueError, TypeError,
+            AttributeError) as exc:
         raise CliError(f"{path}: bad graph: {exc}") from exc
 
 

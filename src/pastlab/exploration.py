@@ -378,21 +378,33 @@ class Edge:
     prob: Optional[Fraction] = None
 
 
+KINDS = ("terminal", "deterministic", "nondet", "prob")
+
+
 @dataclass
 class StateGraph:
     states: list            # ProgramState per node id
     kinds: list             # terminal / deterministic / nondet / prob
     edges: dict             # node id -> list of Edge
     initial: int = 0
+    # Printed state keys, computed on first use: printing is the dominant
+    # cost of a certificate round trip.
+    _keys: Optional[list] = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __len__(self):
         return len(self.states)
 
+    def node_keys(self) -> list:
+        if self._keys is None:
+            self._keys = [state.key() for state in self.states]
+        return self._keys
+
     def node_key(self, i: int) -> str:
-        return self.states[i].key()
+        return self.node_keys()[i]
 
     def key_index(self) -> dict:
-        return {self.states[i].key(): i for i in range(len(self.states))}
+        return {key: i for i, key in enumerate(self.node_keys())}
 
     def reachable_from(self, start: int) -> set:
         seen = {start}
@@ -424,7 +436,13 @@ class StateGraph:
         from .semantics import Valuation
         states = []
         kinds = []
-        for node in sorted(data["nodes"], key=lambda n: n["id"]):
+        nodes = sorted(data["nodes"], key=lambda n: n["id"])
+        if [node["id"] for node in nodes] != list(range(len(nodes))):
+            raise ValueError("node ids are not exactly 0..n-1")
+        for node in nodes:
+            if node["kind"] not in KINDS:
+                raise ValueError(f"node {node['id']} has unknown kind "
+                                 f"{node['kind']!r}")
             program_text, _, valuation_text = node["key"].partition(" | ")
             mapping = {}
             for item in valuation_text.split(","):
@@ -434,12 +452,42 @@ class StateGraph:
             states.append(ProgramState(parse(program_text),
                                        Valuation(mapping)))
             kinds.append(node["kind"])
+        ids = range(len(nodes))
         edges = {}
         for edge in data.get("edges", ()):
+            if edge["from"] not in ids or edge["to"] not in ids:
+                raise ValueError(f"edge {edge['from']} -> {edge['to']} "
+                                 f"names a missing node")
             prob = Fraction(edge["prob"]) if "prob" in edge else None
             edges.setdefault(edge["from"], []).append(
                 Edge(edge["from"], edge["label"], edge["to"], prob))
-        return StateGraph(states, kinds, edges, data.get("initial", 0))
+        for node, kind in enumerate(kinds):
+            _check_out_edges(node, kind, edges.get(node, ()))
+        initial = data.get("initial", 0)
+        if initial not in ids:
+            raise ValueError(f"initial node {initial} is missing")
+        return StateGraph(states, kinds, edges, initial)
+
+
+def _check_out_edges(node: int, kind: str, out: list) -> None:
+    """The edge shape each kind of node must have: none from a terminal,
+    one from a deterministic node, at least one from a nondeterministic
+    one, and a probability distribution from a probabilistic one."""
+    if kind == "terminal" and out:
+        raise ValueError(f"terminal node {node} has outgoing edges")
+    if kind == "deterministic" and len(out) != 1:
+        raise ValueError(f"deterministic node {node} has {len(out)} edges, "
+                         f"not 1")
+    if kind in ("nondet", "prob") and not out:
+        raise ValueError(f"{kind} node {node} has no edges")
+    if kind == "prob":
+        if any(e.prob is None or not 0 < e.prob <= 1 for e in out):
+            raise ValueError(f"prob node {node} has an edge without a "
+                             f"probability in (0, 1]")
+        total = sum(e.prob for e in out)
+        if total != 1:
+            raise ValueError(f"prob node {node} has edge probabilities "
+                             f"summing to {print_rational(total)}, not 1")
 
 
 def collapse_to_state_graph(program: Program, bound: int) -> StateGraph:

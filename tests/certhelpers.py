@@ -1,10 +1,13 @@
 """Builders for the worked certificate fixtures shared by module and
 acceptance tests: the rank-omega certificate for the truncated diverging
-program, and rank certificates over the truncated increment gadget."""
+program, rank certificates over the truncated increment gadget, and the
+dense whole-region exit-time solver kept as a reference."""
 
 from fractions import Fraction
 
-from pastlab.certificates import (RsmCert, RuleCert, in_loop_rsm_from_bound,
+from pastlab.certificates import (FixpointDiverges, RsmCert, RuleCert,
+                                  _solve_linear, _trapped_subregion,
+                                  in_loop_rsm_from_bound,
                                   worst_case_exit_times)
 from pastlab.exploration import collapse_to_state_graph
 from pastlab.ordinal import OMEGA, ZERO as ORD_ZERO, from_natural
@@ -152,3 +155,56 @@ def build_inc_rank2(graph, selection, countdown):
                 h[other] = Fraction(remaining[other])
         k[node] = RsmCert(h, Fraction(1))
     return RuleCert(g, k)
+
+
+# ---------------------------------------------------------------------------
+# Dense reference solver
+# ---------------------------------------------------------------------------
+
+def dense_worst_case_exit_times(graph, region):
+    """Scheduler-worst expected exit times by policy iteration over the
+    whole region at once, one dense exact linear solve per round: the
+    reference for the component-wise solver in pastlab.certificates."""
+    zero, one = Fraction(0), Fraction(1)
+    region = set(region)
+    for node in region:
+        if graph.kinds[node] == "terminal":
+            raise FixpointDiverges("terminal state inside the region never exits")
+    if _trapped_subregion(graph, region):
+        raise FixpointDiverges("region not uniformly exit-bounded")
+    order = sorted(region)
+    index = {node: i for i, node in enumerate(order)}
+    policy = {node: graph.edges[node][0].dst for node in order
+              if graph.kinds[node] == "nondet"}
+
+    def solve():
+        size = len(order)
+        rows = [[zero] * size for _ in range(size)]
+        for node in order:
+            i = index[node]
+            rows[i][i] = one
+            kind = graph.kinds[node]
+            if kind == "deterministic":
+                targets = [(graph.edges[node][0].dst, one)]
+            elif kind == "nondet":
+                targets = [(policy[node], one)]
+            else:
+                targets = [(e.dst, e.prob) for e in graph.edges[node]]
+            for dst, weight in targets:
+                if dst in index:
+                    rows[i][index[dst]] -= weight
+        solution = _solve_linear(rows, [one] * size)
+        if solution is None or any(v < 0 for v in solution):
+            raise FixpointDiverges("policy evaluation has no finite solution")
+        return {node: solution[index[node]] for node in order}
+
+    while True:
+        values = solve()
+        improved = False
+        for node in policy:
+            best = max(graph.edges[node], key=lambda e: values.get(e.dst, zero))
+            if values.get(best.dst, zero) > values.get(policy[node], zero):
+                policy[node] = best.dst
+                improved = True
+        if not improved:
+            return values

@@ -1,12 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pastlab import certificates
 from pastlab.certificates import (CertificateError, FixpointDiverges,
                                   RsmCert, RuleCert, check_proof_rule,
                                   check_rsm, in_loop_rsm_from_bound,
-                                  lower_set, rsm_bound)
-from pastlab.exploration import (Edge, StateGraph, collapse_to_state_graph,
+                                  lower_set, rsm_bound,
+                                  worst_case_exit_times)
+from pastlab.exploration import (KINDS, Edge, StateGraph,
+                                 collapse_to_state_graph,
                                  collect_nondet_queries,
                                  exp_reach_runtime_bounds, exp_runtime_bounds)
 from pastlab.ordinal import OMEGA, ZERO as ORD_ZERO, from_natural
@@ -14,6 +19,8 @@ from pastlab.scheduling import constant, Ln, iter_partial_schedules, \
     standard_extension
 from pastlab.semantics import ProgramState, Valuation, is_terminal
 from pastlab.syntax import parse
+from certhelpers import (build_inc_graph, build_inc_rank2,
+                         dense_worst_case_exit_times)
 
 
 def make_graph(kinds, edges, initial=0):
@@ -114,6 +121,8 @@ def test_lower_set():
     assert lower_set(graph, g, 2) == set()
     for node in range(3):
         assert node not in lower_set(graph, g, node)
+        assert lower_set(graph, g, node, graph.reachable_from(node)) == \
+            lower_set(graph, g, node)
 
 
 def test_check_proof_rule_chain():
@@ -247,3 +256,153 @@ def test_json_round_trips():
     rule = RuleCert({0: OMEGA, 1: ORD_ZERO}, {0: cert})
     back = RuleCert.from_json(rule.to_json(graph), graph)
     assert back == rule
+
+
+def test_certificate_json_prints_each_state_key_once(monkeypatch):
+    graph, selection, countdown = build_inc_graph(2)
+    data = build_inc_rank2(graph, selection, countdown).to_json(graph)
+    printed = []
+    real_key = ProgramState.key
+    monkeypatch.setattr(ProgramState, "key",
+                        lambda self: printed.append(self) or real_key(self))
+    fresh = StateGraph(graph.states, graph.kinds, graph.edges, graph.initial)
+    back = RuleCert.from_json(data, fresh)
+    assert back.to_json(fresh) == data
+    assert len(printed) == len(fresh)
+
+
+# ---------------------------------------------------------------------------
+# The component-wise exit-time solver against the dense reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def graphs_with_regions(draw):
+    """Random well-formed graphs over all four kinds with self-loops,
+    nondeterministic and probabilistic cycles, and a region of all live
+    nodes, some live nodes, or any nodes, terminals included.  In a tame
+    graph node 0 is terminal and only the later branches of a choice may
+    lead to a node at or above its own, so most cycles pass through a coin
+    that can leave them and the exit times are finite."""
+    size = draw(st.integers(1, 8))
+    tame = draw(st.booleans())
+    kinds = draw(st.lists(st.sampled_from(KINDS + ("prob",) * 2),
+                          min_size=size, max_size=size))
+    if tame:
+        kinds[0] = "terminal"
+
+    def targets(src, least, most):
+        count = draw(st.integers(least, most))
+        anywhere = st.integers(0, size - 1)
+        if not tame:
+            return [draw(anywhere) for _ in range(count)]
+        below = st.integers(0, src - 1)
+        later = below if kinds[src] == "deterministic" else anywhere
+        return [draw(below)] + [draw(later) for _ in range(count - 1)]
+
+    edges = {}
+    for src, kind in enumerate(kinds):
+        if kind == "deterministic":
+            edges[src] = [("det", targets(src, 1, 1)[0], None)]
+        elif kind == "nondet":
+            edges[src] = [("nondet-left" if i == 0 else "nondet-right",
+                           dst, None)
+                          for i, dst in enumerate(targets(src, 1, 3))]
+        elif kind == "prob":
+            dsts = targets(src, 1, 3)
+            weights = draw(st.lists(st.integers(1, 4), min_size=len(dsts),
+                                    max_size=len(dsts)))
+            edges[src] = [("prob-left" if i == 0 else "prob-right", dst,
+                           Fraction(weight, sum(weights)))
+                          for i, (dst, weight) in enumerate(zip(dsts, weights))]
+    live = sorted(i for i in range(size) if kinds[i] != "terminal")
+    pick = draw(st.integers(0, 2)) if live else 2
+    if pick == 0:
+        region = set(live)
+    elif pick == 1:
+        region = draw(st.sets(st.sampled_from(live), min_size=1))
+    else:
+        region = draw(st.sets(st.integers(0, size - 1), min_size=1))
+    return make_graph(kinds, edges), region
+
+
+def _outcome(solver, graph, region):
+    try:
+        return list(solver(graph, region).items())
+    except FixpointDiverges:
+        return "diverges"
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(graphs_with_regions())
+def test_exit_times_match_dense_reference(case):
+    graph, region = case
+    assert _outcome(worst_case_exit_times, graph, region) == \
+        _outcome(dense_worst_case_exit_times, graph, region)
+
+
+def test_exit_times_match_dense_reference_on_inc_graph():
+    graph, _, _ = build_inc_graph(2)
+    region = {i for i in range(len(graph)) if graph.kinds[i] != "terminal"}
+    assert list(worst_case_exit_times(graph, region).items()) == \
+        list(dense_worst_case_exit_times(graph, region).items())
+
+
+def _count_linear_solves(monkeypatch):
+    sizes = []
+    real = certificates._solve_linear
+    monkeypatch.setattr(certificates, "_solve_linear",
+                        lambda rows, rhs: sizes.append(len(rows))
+                        or real(rows, rhs))
+    return sizes
+
+
+def test_components_solved_sinks_first_with_policy_improvement(monkeypatch):
+    # {1, 2} is a coin loop whose nondeterministic node starts on its exit
+    # branch and must switch to the loop; {3} is a coin self-loop feeding
+    # it; 4 is acyclic.
+    graph = make_graph(
+        ["terminal", "prob", "nondet", "prob", "nondet"],
+        {1: [("prob-left", 0, "1/2"), ("prob-right", 2, "1/2")],
+         2: [("nondet-left", 0, None), ("nondet-right", 1, None)],
+         3: [("prob-left", 3, "1/3"), ("prob-right", 1, "2/3")],
+         4: [("nondet-left", 3, None), ("nondet-right", 0, None)]})
+    sizes = _count_linear_solves(monkeypatch)
+    times = worst_case_exit_times(graph, {1, 2, 3, 4})
+    assert list(times.items()) == [(1, 3), (2, 4), (3, Fraction(9, 2)),
+                                   (4, Fraction(11, 2))]
+    assert sizes == [2, 2, 1]
+
+
+def test_malformed_hand_built_graphs_diverge():
+    # A coin whose only branch loops back is trapped even though its one
+    # edge carries 1/2, and a node with no way out never leaves.  Graph
+    # files are validated on load; hand-built graphs are not.
+    short_coin = make_graph(["prob", "terminal"],
+                            {0: [("prob-left", 0, "1/2")]})
+    stuck = make_graph(["prob", "deterministic"],
+                       {0: [("prob-left", 1, "1")]})
+    for graph in (short_coin, stuck):
+        for solver in (worst_case_exit_times, dense_worst_case_exit_times):
+            with pytest.raises(FixpointDiverges):
+                solver(graph, {0, 1} if graph is stuck else {0})
+
+
+def test_acyclic_region_needs_no_linear_solve(monkeypatch):
+    graph, _, _ = build_inc_graph(8)
+    region = {i for i in range(len(graph)) if graph.kinds[i] != "terminal"}
+    sizes = _count_linear_solves(monkeypatch)
+    times = worst_case_exit_times(graph, region)
+    assert sizes == []
+    assert max(times.values()) == 29
+
+
+def test_only_cyclic_components_are_solved(monkeypatch):
+    # The coin loop is one cyclic component; the assignments before it are
+    # acyclic and must not enter the linear system.
+    graph = collapse_to_state_graph(
+        parse("y := 1; y := 2; while (x = 0) { { skip } <1/2> { exit } }"), 50)
+    region = {i for i in range(len(graph)) if graph.kinds[i] != "terminal"}
+    sizes = _count_linear_solves(monkeypatch)
+    times = worst_case_exit_times(graph, region)
+    assert times[graph.initial] == 11
+    assert sizes and all(size < len(region) for size in sizes)

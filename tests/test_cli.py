@@ -276,3 +276,92 @@ def test_run_json_frontier_paths(tmp_path, capsys, scheduler):
         assert all(s["history"] == "" for s in states)
         assert len({(s["program"], tuple(sorted(s["valuation"].items())))
                     for s in states}) == len(states)
+
+
+# ---------------------------------------------------------------------------
+# Malformed graph files
+# ---------------------------------------------------------------------------
+
+def _check_rsm_on(tmp_path, graph, h):
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(json.dumps(graph))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps({"epsilon": "1", "h": h}))
+    return main(["check-rsm", str(graph_path), str(cert_path)])
+
+
+ONE_ASSIGNMENT = {
+    "initial": 0,
+    "nodes": [{"id": 0, "key": "x := 1 | ", "kind": "deterministic"},
+              {"id": 1, "key": "bot | x=1", "kind": "terminal"}],
+    "edges": [{"from": 0, "label": "det", "to": 1}],
+}
+ONE_ASSIGNMENT_H = {"x := 1 | ": "1", "bot | x=1": "0"}
+
+
+def test_well_formed_graph_file_still_checks(tmp_path, capsys):
+    assert _check_rsm_on(tmp_path, ONE_ASSIGNMENT, ONE_ASSIGNMENT_H) == 0
+    assert capsys.readouterr().out == "OK, bound = 1\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda g: g.update(edges=[]),
+                 "deterministic node 0 has 0 edges, not 1", id="no-edges"),
+    pytest.param(lambda g: g["edges"][0].update(to=7),
+                 "edge 0 -> 7 names a missing node", id="dangling-edge"),
+    pytest.param(lambda g: g["nodes"][1].update(id=2),
+                 "node ids are not exactly 0..n-1", id="id-gap"),
+    pytest.param(lambda g: g["nodes"][0].update(kind="loop"),
+                 "node 0 has unknown kind 'loop'", id="unknown-kind"),
+    pytest.param(lambda g: g["nodes"][1].update(kind="nondet"),
+                 "nondet node 1 has no edges", id="nondet-without-edges"),
+    pytest.param(lambda g: g["edges"].append(
+                     {"from": 1, "label": "det", "to": 0}),
+                 "terminal node 1 has outgoing edges", id="terminal-edge"),
+    pytest.param(lambda g: g["nodes"][0].update(kind="prob"),
+                 "prob node 0 has an edge without a probability in (0, 1]",
+                 id="prob-without-prob"),
+    pytest.param(lambda g: (g["nodes"][0].update(kind="prob"), g.update(
+                     edges=[{"from": 0, "label": "prob-left", "to": 1,
+                             "prob": "3/2"},
+                            {"from": 0, "label": "prob-right", "to": 1,
+                             "prob": "-1/2"}])),
+                 "prob node 0 has an edge without a probability in (0, 1]",
+                 id="prob-out-of-range"),
+    pytest.param(lambda g: g["nodes"][0].update(key=5),
+                 "'int' object has no attribute 'partition'", id="key-not-text"),
+    pytest.param(lambda g: g.update(nodes=[0, 1]),
+                 "'int' object is not subscriptable", id="node-not-object"),
+    pytest.param(lambda g: g.update(initial=5),
+                 "initial node 5 is missing", id="missing-initial"),
+])
+def test_malformed_graph_file_exits_2(tmp_path, capsys, edit, message):
+    graph = json.loads(json.dumps(ONE_ASSIGNMENT))
+    edit(graph)
+    assert _check_rsm_on(tmp_path, graph, ONE_ASSIGNMENT_H) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / 'graph.json'}: bad graph: " \
+                           f"{message}\n"
+
+
+def test_forged_probabilistic_loop_is_rejected(tmp_path, capsys):
+    # `while (x = 0) { skip }` never terminates; relabelled as a coin with a
+    # single 1/100 edge to a terminal it used to be certified with bound 2.
+    forged = {
+        "initial": 0,
+        "nodes": [{"id": 0, "key": "while (x = 0) { skip } | ",
+                   "kind": "prob"},
+                  {"id": 1, "key": "skip; while (x = 0) { skip } | ",
+                   "kind": "deterministic"},
+                  {"id": 2, "key": "bot | ", "kind": "terminal"}],
+        "edges": [{"from": 0, "label": "prob-right", "to": 2,
+                   "prob": "1/100"},
+                  {"from": 1, "label": "det", "to": 0}],
+    }
+    h = {"while (x = 0) { skip } | ": "2",
+         "skip; while (x = 0) { skip } | ": "0", "bot | ": "0"}
+    assert _check_rsm_on(tmp_path, forged, h) == 2
+    assert capsys.readouterr().err.endswith(
+        "bad graph: prob node 0 has edge probabilities summing to 1/100, "
+        "not 1\n")
