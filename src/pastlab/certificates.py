@@ -58,12 +58,10 @@ class RsmCert:
         """`index` is the graph's key index, when the caller already has it."""
         if index is None:
             index = graph.key_index()
-        h = {}
-        for key, value in data.get("h", {}).items():
-            if key not in index:
-                raise CertificateError(f"certificate names unknown state {key!r}")
-            h[index[key]] = Fraction(value)
-        return RsmCert(h, Fraction(data["epsilon"]))
+        h = _by_node(data, "h", index, lambda v: _read(Fraction, v, "value"))
+        if "epsilon" not in data:
+            raise CertificateError("certificate has no epsilon")
+        return RsmCert(h, _read(Fraction, data["epsilon"], "epsilon"))
 
 
 @dataclass(frozen=True)
@@ -83,17 +81,36 @@ class RuleCert:
     @staticmethod
     def from_json(data: dict, graph: StateGraph) -> "RuleCert":
         index = graph.key_index()
-        g = {}
-        for key, value in data.get("g", {}).items():
-            if key not in index:
-                raise CertificateError(f"certificate names unknown state {key!r}")
-            g[index[key]] = parse_ordinal(value)
-        k = {}
-        for key, value in data.get("k", {}).items():
-            if key not in index:
-                raise CertificateError(f"certificate names unknown state {key!r}")
-            k[index[key]] = RsmCert.from_json(value, graph, index)
+        g = _by_node(data, "g", index,
+                     lambda v: _read(parse_ordinal, v, "rank"))
+        k = _by_node(data, "k", index,
+                     lambda v: RsmCert.from_json(v, graph, index))
         return RuleCert(g, k)
+
+
+def _by_node(data: dict, name: str, index: dict, read) -> dict:
+    """node id -> read(payload) for the certificate's map `name` (empty
+    when absent) from state keys to payloads."""
+    if not isinstance(data, dict):
+        raise CertificateError("certificate is not a JSON object")
+    entries = data.get(name, {})
+    if not isinstance(entries, dict):
+        raise CertificateError(f"certificate {name!r} is not a JSON object")
+    out = {}
+    for key, value in entries.items():
+        if key not in index:
+            raise CertificateError(f"certificate names unknown state {key!r}")
+        out[index[key]] = read(value)
+    return out
+
+
+def _read(parse, value, what: str):
+    """parse(value), with a malformed value reported as a CertificateError."""
+    try:
+        return parse(value)
+    except (ValueError, TypeError, AttributeError, ArithmeticError) as exc:
+        raise CertificateError(f"certificate has a bad {what} "
+                               f"{value!r}") from exc
 
 
 @dataclass

@@ -168,23 +168,16 @@ def cmd_graph(args) -> int:
 
 
 def _load_graph_from_json(path: str):
-    data = _read_json(path)
-    if not data.get("nodes"):
-        raise CliError(f"{path}: empty graph")
     try:
-        return exploration.StateGraph.from_json(data)
-    except (ParseError, KeyError, ValueError, TypeError,
-            AttributeError) as exc:
+        return exploration.StateGraph.from_json(_read_json(path))
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise CliError(f"{path}: bad graph: {exc}") from exc
 
 
 def cmd_check_rsm(args) -> int:
     graph = _load_graph_from_json(args.graph)
-    try:
-        cert = certificates.RsmCert.from_json(_read_json(args.cert), graph)
-        verdict = certificates.check_rsm(graph, cert)
-    except certificates.CertificateError as exc:
-        raise CliError(str(exc)) from exc
+    cert = certificates.RsmCert.from_json(_read_json(args.cert), graph)
+    verdict = certificates.check_rsm(graph, cert)
     if verdict.ok:
         bound = certificates.rsm_bound(cert, graph.initial)
         print(f"OK, bound = {_fmt(bound, args)}")
@@ -196,11 +189,8 @@ def cmd_check_rsm(args) -> int:
 
 def cmd_check_rule(args) -> int:
     graph = _load_graph_from_json(args.graph)
-    try:
-        cert = certificates.RuleCert.from_json(_read_json(args.cert), graph)
-        verdict = certificates.check_proof_rule(graph, cert)
-    except certificates.CertificateError as exc:
-        raise CliError(str(exc)) from exc
+    cert = certificates.RuleCert.from_json(_read_json(args.cert), graph)
+    verdict = certificates.check_proof_rule(graph, cert)
     if verdict.ok:
         print("OK")
         return 0
@@ -470,11 +460,16 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (exploration.ResourceCapExceeded,
+    except (certificates.CertificateError,
+            exploration.ResourceCapExceeded,
             exploration.StateSpaceNotClosed,
             scheduling.EnumerationTooLarge,
             scheduling.SchedulerAbort) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: program nests too deeply for this analysis",
+              file=sys.stderr)
         return 2
 
 

@@ -15,8 +15,10 @@ every path at its first state satisfying the target predicate.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, List, Optional
 
 from .semantics import (Direction, ExecState, Exit, ProgramState, classify,
@@ -432,62 +434,43 @@ class StateGraph:
 
     @staticmethod
     def from_json(data: dict) -> "StateGraph":
+        """The graph of the initial node's program, re-derived with the step
+        function.  The file must be exactly its to_json(); else ValueError
+        names the first node or edge that differs."""
         from .syntax import parse
-        from .semantics import Valuation
-        states = []
-        kinds = []
-        nodes = sorted(data["nodes"], key=lambda n: n["id"])
-        if [node["id"] for node in nodes] != list(range(len(nodes))):
-            raise ValueError("node ids are not exactly 0..n-1")
-        for node in nodes:
-            if node["kind"] not in KINDS:
-                raise ValueError(f"node {node['id']} has unknown kind "
-                                 f"{node['kind']!r}")
-            program_text, _, valuation_text = node["key"].partition(" | ")
-            mapping = {}
-            for item in valuation_text.split(","):
-                if item:
-                    name, _, value = item.partition("=")
-                    mapping[name] = Fraction(value)
-            states.append(ProgramState(parse(program_text),
-                                       Valuation(mapping)))
-            kinds.append(node["kind"])
-        ids = range(len(nodes))
-        edges = {}
-        for edge in data.get("edges", ()):
-            if edge["from"] not in ids or edge["to"] not in ids:
-                raise ValueError(f"edge {edge['from']} -> {edge['to']} "
-                                 f"names a missing node")
-            prob = Fraction(edge["prob"]) if "prob" in edge else None
-            edges.setdefault(edge["from"], []).append(
-                Edge(edge["from"], edge["label"], edge["to"], prob))
-        for node, kind in enumerate(kinds):
-            _check_out_edges(node, kind, edges.get(node, ()))
+        nodes = data["nodes"]
         initial = data.get("initial", 0)
-        if initial not in ids:
+        if initial not in range(len(nodes)):
             raise ValueError(f"initial node {initial} is missing")
-        return StateGraph(states, kinds, edges, initial)
+        program = parse(nodes[initial]["key"].partition(" | ")[0])
+        try:
+            graph = collapse_to_state_graph(program, len(nodes))
+        except StateSpaceNotClosed as exc:
+            raise ValueError(f"graph is not closed: its program reaches more "
+                             f"than {len(nodes)} states") from exc
+        derived = graph.to_json()
+        _first_difference("node", nodes, derived["nodes"])
+        _first_difference("edge", data.get("edges", []), derived["edges"])
+        if initial != derived["initial"]:
+            raise ValueError(f"initial node is {initial}, re-derived "
+                             f"{derived['initial']}")
+        return graph
 
 
-def _check_out_edges(node: int, kind: str, out: list) -> None:
-    """The edge shape each kind of node must have: none from a terminal,
-    one from a deterministic node, at least one from a nondeterministic
-    one, and a probability distribution from a probabilistic one."""
-    if kind == "terminal" and out:
-        raise ValueError(f"terminal node {node} has outgoing edges")
-    if kind == "deterministic" and len(out) != 1:
-        raise ValueError(f"deterministic node {node} has {len(out)} edges, "
-                         f"not 1")
-    if kind in ("nondet", "prob") and not out:
-        raise ValueError(f"{kind} node {node} has no edges")
-    if kind == "prob":
-        if any(e.prob is None or not 0 < e.prob <= 1 for e in out):
-            raise ValueError(f"prob node {node} has an edge without a "
-                             f"probability in (0, 1]")
-        total = sum(e.prob for e in out)
-        if total != 1:
-            raise ValueError(f"prob node {node} has edge probabilities "
-                             f"summing to {print_rational(total)}, not 1")
+_ABSENT = object()
+
+
+def _first_difference(what: str, given: list, derived: list) -> None:
+    """ValueError naming the first entry of a graph file's list that is not
+    the re-derived graph's entry at the same position."""
+    def show(entry):
+        return "absent" if entry is _ABSENT else json.dumps(entry)
+
+    for i, (entry, want) in enumerate(zip_longest(given, derived,
+                                                  fillvalue=_ABSENT)):
+        if entry != want:
+            raise ValueError(f"{what} {i} is {show(entry)}, "
+                             f"re-derived {show(want)}")
 
 
 def collapse_to_state_graph(program: Program, bound: int) -> StateGraph:

@@ -297,6 +297,10 @@ ONE_ASSIGNMENT = {
     "edges": [{"from": 0, "label": "det", "to": 1}],
 }
 ONE_ASSIGNMENT_H = {"x := 1 | ": "1", "bot | x=1": "0"}
+# The re-derived entries of ONE_ASSIGNMENT, as bad-graph messages print them.
+ASSIGNMENT_0 = '{"id": 0, "key": "x := 1 | ", "kind": "deterministic"}'
+TERMINAL_1 = '{"id": 1, "key": "bot | x=1", "kind": "terminal"}'
+EDGE_0_1 = '{"from": 0, "label": "det", "to": 1}'
 
 
 def test_well_formed_graph_file_still_checks(tmp_path, capsys):
@@ -306,38 +310,48 @@ def test_well_formed_graph_file_still_checks(tmp_path, capsys):
 
 @pytest.mark.parametrize("edit, message", [
     pytest.param(lambda g: g.update(edges=[]),
-                 "deterministic node 0 has 0 edges, not 1", id="no-edges"),
+                 "edge 0 is absent, re-derived " + EDGE_0_1, id="no-edges"),
     pytest.param(lambda g: g["edges"][0].update(to=7),
-                 "edge 0 -> 7 names a missing node", id="dangling-edge"),
+                 'edge 0 is {"from": 0, "label": "det", "to": 7}, re-derived '
+                 + EDGE_0_1, id="dangling-edge"),
     pytest.param(lambda g: g["nodes"][1].update(id=2),
-                 "node ids are not exactly 0..n-1", id="id-gap"),
+                 'node 1 is {"id": 2, "key": "bot | x=1", '
+                 '"kind": "terminal"}, re-derived ' + TERMINAL_1, id="id-gap"),
     pytest.param(lambda g: g["nodes"][0].update(kind="loop"),
-                 "node 0 has unknown kind 'loop'", id="unknown-kind"),
+                 'node 0 is {"id": 0, "key": "x := 1 | ", "kind": "loop"}, '
+                 're-derived ' + ASSIGNMENT_0, id="unknown-kind"),
     pytest.param(lambda g: g["nodes"][1].update(kind="nondet"),
-                 "nondet node 1 has no edges", id="nondet-without-edges"),
+                 'node 1 is {"id": 1, "key": "bot | x=1", "kind": "nondet"}, '
+                 're-derived ' + TERMINAL_1, id="nondet-without-edges"),
     pytest.param(lambda g: g["edges"].append(
                      {"from": 1, "label": "det", "to": 0}),
-                 "terminal node 1 has outgoing edges", id="terminal-edge"),
+                 'edge 1 is {"from": 1, "label": "det", "to": 0}, '
+                 're-derived absent', id="terminal-edge"),
     pytest.param(lambda g: g["nodes"][0].update(kind="prob"),
-                 "prob node 0 has an edge without a probability in (0, 1]",
-                 id="prob-without-prob"),
+                 'node 0 is {"id": 0, "key": "x := 1 | ", "kind": "prob"}, '
+                 're-derived ' + ASSIGNMENT_0, id="prob-without-prob"),
     pytest.param(lambda g: (g["nodes"][0].update(kind="prob"), g.update(
                      edges=[{"from": 0, "label": "prob-left", "to": 1,
                              "prob": "3/2"},
                             {"from": 0, "label": "prob-right", "to": 1,
                              "prob": "-1/2"}])),
-                 "prob node 0 has an edge without a probability in (0, 1]",
-                 id="prob-out-of-range"),
+                 'node 0 is {"id": 0, "key": "x := 1 | ", "kind": "prob"}, '
+                 're-derived ' + ASSIGNMENT_0, id="prob-out-of-range"),
     pytest.param(lambda g: g["nodes"][0].update(key=5),
                  "'int' object has no attribute 'partition'", id="key-not-text"),
     pytest.param(lambda g: g.update(nodes=[0, 1]),
                  "'int' object is not subscriptable", id="node-not-object"),
     pytest.param(lambda g: g.update(initial=5),
                  "initial node 5 is missing", id="missing-initial"),
+    pytest.param([1], "list indices must be integers or slices, not str",
+                 id="file-not-object"),
 ])
 def test_malformed_graph_file_exits_2(tmp_path, capsys, edit, message):
     graph = json.loads(json.dumps(ONE_ASSIGNMENT))
-    edit(graph)
+    if callable(edit):
+        edit(graph)
+    else:  # a replacement for the whole file
+        graph = edit
     assert _check_rsm_on(tmp_path, graph, ONE_ASSIGNMENT_H) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -363,5 +377,131 @@ def test_forged_probabilistic_loop_is_rejected(tmp_path, capsys):
          "skip; while (x = 0) { skip } | ": "0", "bot | ": "0"}
     assert _check_rsm_on(tmp_path, forged, h) == 2
     assert capsys.readouterr().err.endswith(
-        "bad graph: prob node 0 has edge probabilities summing to 1/100, "
-        "not 1\n")
+        'bad graph: node 0 is {"id": 0, "key": "while (x = 0) { skip } | ", '
+        '"kind": "prob"}, re-derived {"id": 0, "key": '
+        '"while (x = 0) { skip } | ", "kind": "deterministic"}\n')
+
+
+@pytest.mark.parametrize("graph, h, message", [
+    # `while (x = 0) { skip }` never terminates; with the loop forged into
+    # one step to a terminal it used to be certified with bound 1.
+    pytest.param({"initial": 0,
+                  "nodes": [{"id": 0, "key": "while (x = 0) { skip } | ",
+                             "kind": "deterministic"},
+                            {"id": 1, "key": "bot | ", "kind": "terminal"}],
+                  "edges": [{"from": 0, "label": "det", "to": 1}]},
+                 {"while (x = 0) { skip } | ": "1", "bot | ": "0"},
+                 "graph is not closed: its program reaches more than 2 states",
+                 id="deterministic-loop"),
+    # Skips `bot; y := 2 | x=1`, the state between the two assignments.
+    pytest.param({"initial": 0,
+                  "nodes": [{"id": 0, "key": "x := 1; y := 2 | ",
+                             "kind": "deterministic"},
+                            {"id": 1, "key": "y := 2 | x=1",
+                             "kind": "deterministic"},
+                            {"id": 2, "key": "bot | x=1,y=2",
+                             "kind": "terminal"}],
+                  "edges": [{"from": 0, "label": "det", "to": 1},
+                            {"from": 1, "label": "det", "to": 2}]},
+                 {"x := 1; y := 2 | ": "2", "y := 2 | x=1": "1",
+                  "bot | x=1,y=2": "0"},
+                 "graph is not closed: its program reaches more than 3 states",
+                 id="skipped-state"),
+    # Leaves out the right branch of the choice and everything below it.
+    pytest.param({"initial": 0,
+                  "nodes": [{"id": 0, "key": "{ x := 1 } [] { x := 2 } | ",
+                             "kind": "nondet"},
+                            {"id": 1, "key": "x := 1 | ",
+                             "kind": "deterministic"},
+                            {"id": 2, "key": "bot | x=1", "kind": "terminal"}],
+                  "edges": [{"from": 0, "label": "nondet-left", "to": 1},
+                            {"from": 1, "label": "det", "to": 2}]},
+                 {"{ x := 1 } [] { x := 2 } | ": "2", "x := 1 | ": "1",
+                  "bot | x=1": "0"},
+                 "graph is not closed: its program reaches more than 3 states",
+                 id="left-out-node"),
+    # The real graph, but it starts at a later state whose program prints
+    # like the initial one.
+    pytest.param({**exploration.collapse_to_state_graph(
+                      parse("while (true) { x := 1 }"), 10).to_json(),
+                  "initial": 3},
+                 {"while (true) { x := 1 } | ": "0",
+                  "x := 1; while (true) { x := 1 } | ": "0",
+                  "bot; while (true) { x := 1 } | x=1": "0",
+                  "while (true) { x := 1 } | x=1": "0",
+                  "x := 1; while (true) { x := 1 } | x=1": "0"},
+                 "initial node is 3, re-derived 0", id="wrong-initial"),
+])
+def test_graph_file_that_is_not_the_program_graph_exits_2(tmp_path, capsys,
+                                                         graph, h, message):
+    assert _check_rsm_on(tmp_path, graph, h) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / 'graph.json'}: bad graph: " \
+                           f"{message}\n"
+
+
+# ---------------------------------------------------------------------------
+# Malformed certificate files
+# ---------------------------------------------------------------------------
+
+ONE_ASSIGNMENT_RANK = {"x := 1 | ": "1", "bot | x=1": "0"}
+
+
+@pytest.mark.parametrize("command, cert, message", [
+    pytest.param("check-rsm", {"epsilon": "abc", "h": ONE_ASSIGNMENT_H},
+                 "certificate has a bad epsilon 'abc'",
+                 id="epsilon-not-rational"),
+    pytest.param("check-rsm", {"h": ONE_ASSIGNMENT_H},
+                 "certificate has no epsilon", id="missing-epsilon"),
+    pytest.param("check-rsm", {"epsilon": "1",
+                               "h": {**ONE_ASSIGNMENT_H, "x := 1 | ": "1/0"}},
+                 "certificate has a bad value '1/0'", id="value-not-rational"),
+    pytest.param("check-rsm", [ONE_ASSIGNMENT_H],
+                 "certificate is not a JSON object", id="rsm-list"),
+    pytest.param("check-rule",
+                 {"g": {**ONE_ASSIGNMENT_RANK, "x := 1 | ": "zz"},
+                  "k": {"x := 1 | ": {"epsilon": "1",
+                                      "h": ONE_ASSIGNMENT_H}}},
+                 "certificate has a bad rank 'zz'", id="rank-not-ordinal"),
+    pytest.param("check-rule",
+                 {"g": ONE_ASSIGNMENT_RANK, "k": {"x := 1 | ": []}},
+                 "certificate is not a JSON object", id="rule-entry-list"),
+    pytest.param("check-rule", {"g": ONE_ASSIGNMENT_RANK, "k": []},
+                 "certificate 'k' is not a JSON object", id="rule-k-list"),
+])
+def test_malformed_certificate_file_exits_2(tmp_path, capsys, command, cert,
+                                            message):
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(json.dumps(ONE_ASSIGNMENT))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert))
+    assert main([command, str(graph_path), str(cert_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# Programs too deep for the recursive parser, printer and hash
+# ---------------------------------------------------------------------------
+
+def _assignments(count):
+    return "; ".join(f"x := {i}" for i in range(count))
+
+
+@pytest.mark.parametrize("argv, source", [
+    pytest.param(["parse"], _assignments(3000), id="parse"),
+    pytest.param(["graph"], _assignments(800), id="graph"),
+    pytest.param(["run", "--depth", "10", "--format", "json"],
+                 "{ skip } <1/2> { skip }; " + _assignments(1500),
+                 id="run-json"),
+])
+def test_too_deep_program_exits_2(tmp_path, capsys, argv, source):
+    path = tmp_path / "deep.pgcl"
+    path.write_text(source + "\n")
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: program nests too deeply for this analysis\n"

@@ -1,3 +1,5 @@
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -12,9 +14,11 @@ from pastlab.exploration import (ResourceCapExceeded, StateGraph,
 from pastlab.scheduling import RandomScheduler, constant, Ln, Rn
 from pastlab.semantics import initial_state, is_terminal, step
 from pastlab.syntax import parse
+from pastlab.transforms import emit_inc
 from conftest import (ballot_walk_oracle, geometric_series_limit,
                       random_active_program, random_program)
 
+PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 RANDOM_WALK = parse("x := 1; while (x != 0) "
                     "{ { x := x + 1 } <1/2> { x := x - 1 } }")
 GEOMETRIC = parse("while (x = 0) { { skip } <1/2> { exit } }")
@@ -323,13 +327,26 @@ def test_collapse_unbounded_counter_refused():
 
 
 def test_state_graph_json_round_trip():
-    graph = collapse_to_state_graph(GEOMETRIC, 20)
-    data = graph.to_json()
-    back = StateGraph.from_json(data)
-    assert back.kinds == graph.kinds
-    assert [back.node_key(i) for i in range(len(back))] == \
-        [graph.node_key(i) for i in range(len(graph))]
-    assert back.to_json() == data
+    # Every graph `pastlab graph` writes: the shipped programs whose state
+    # space closes, and the increment gadget at every cap the tests use.
+    programs = ([GEOMETRIC]
+                + [parse(path.read_text())
+                   for path in sorted(PROGRAMS.glob("*.pgcl"))]
+                + [emit_inc(cap=cap) for cap in range(2, 9)])
+    round_trips = 0
+    for program in programs:
+        try:
+            graph = collapse_to_state_graph(program, 2000)
+        except StateSpaceNotClosed:
+            continue
+        data = json.loads(json.dumps(graph.to_json()))
+        back = StateGraph.from_json(data)
+        assert back.kinds == graph.kinds
+        assert [back.node_key(i) for i in range(len(back))] == \
+            [graph.node_key(i) for i in range(len(graph))]
+        assert back.to_json() == data
+        round_trips += 1
+    assert round_trips == 9
 
 
 def test_conservation_random_programs(rng):
