@@ -17,6 +17,7 @@ keeps a non-normal-form certificate that passes while the program diverges.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional
@@ -24,7 +25,7 @@ from typing import Dict, Iterable, List, Optional
 from .exploration import StateGraph
 from .ordinal import parse_ordinal, print_ordinal
 from .ordinal import ZERO as ORD_ZERO
-from .syntax import print_rational
+from .syntax import print_rational, read_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -58,10 +59,11 @@ class RsmCert:
         """`index` is the graph's key index, when the caller already has it."""
         if index is None:
             index = graph.key_index()
-        h = _by_node(data, "h", index, lambda v: _read(Fraction, v, "value"))
+        h = _by_node(data, "h", index,
+                     lambda v: _read(read_rational, v, "value"))
         if "epsilon" not in data:
             raise CertificateError("certificate has no epsilon")
-        return RsmCert(h, _read(Fraction, data["epsilon"], "epsilon"))
+        return RsmCert(h, _read(read_rational, data["epsilon"], "epsilon"))
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def _read(parse, value, what: str):
         return parse(value)
     except (ValueError, TypeError, AttributeError, ArithmeticError) as exc:
         raise CertificateError(f"certificate has a bad {what} "
-                               f"{value!r}") from exc
+                               f"{reprlib.repr(value)}") from exc
 
 
 @dataclass

@@ -16,7 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import certificates, exploration, hydra, scheduling, transforms
-from .syntax import ParseError, parse, print_program, print_rational
+from .syntax import (ParseError, parse, print_program, print_rational,
+                     read_rational)
 
 
 class CliError(Exception):
@@ -41,7 +42,7 @@ def _read_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long to convert
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -144,14 +145,21 @@ def cmd_runtime(args) -> int:
     return 0
 
 
-def cmd_ast_check(args) -> int:
-    program = _read_program(args.file)
+def _delta(text: str) -> Fraction:
     try:
-        verdict = exploration.ast_semicheck(program, Fraction(args.delta),
-                                            args.n, query_cap=args.enum_cap,
-                                            node_cap=_node_cap(args))
-    except scheduling.EnumerationTooLarge as exc:
-        raise CliError(str(exc)) from exc
+        delta = read_rational(text)
+        if 0 < delta < 1:
+            return delta
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise CliError("delta must be a rational strictly between 0 and 1")
+
+
+def cmd_ast_check(args) -> int:
+    delta = _delta(args.delta)
+    program = _read_program(args.file)
+    verdict = exploration.ast_semicheck(program, delta, args.n,
+                                        node_cap=_node_cap(args))
     print(f"every size-{args.n} schedule exceeds {args.delta}: "
           f"{'yes' if verdict else 'no'}")
     return 0 if verdict else 1
@@ -388,7 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--delta", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--enum-cap", type=int, default=16)
     common(p, scheduler=False, depth=False)
     p.set_defaults(fn=cmd_ast_check)
 
@@ -443,9 +450,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args):
-    if getattr(args, "depth", 1) < 0:
-        raise CliError("depth must be non-negative")
-    for name in ("node_cap", "enum_cap", "bound"):
+    for name in ("depth", "n"):
+        if getattr(args, name, 0) < 0:
+            raise CliError(f"{name} must be non-negative")
+    for name in ("node_cap", "bound"):
         value = getattr(args, name, None)
         if value is not None and value <= 0:
             raise CliError(f"{name.replace('_', '-')} must be positive")
@@ -463,7 +471,6 @@ def main(argv=None) -> int:
     except (certificates.CertificateError,
             exploration.ResourceCapExceeded,
             exploration.StateSpaceNotClosed,
-            scheduling.EnumerationTooLarge,
             scheduling.SchedulerAbort) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

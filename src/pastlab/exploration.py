@@ -23,9 +23,9 @@ from typing import Callable, List, Optional
 
 from .semantics import (Direction, ExecState, Exit, ProgramState, classify,
                         head_redex, initial_state, is_terminal, step,
-                        step_all)
+                        step_all, Kind)
 from .syntax import Program, print_rational
-from .scheduling import Scheduler, iter_partial_schedules, standard_extension
+from .scheduling import Scheduler, iter_partial_schedules  # tracer patches it
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -140,6 +140,19 @@ class ExecTree:
 
     def frontier_mass(self):
         return sum((n.state.prob for n in self.frontier), ZERO)
+
+    def least_terminal_mass(self):
+        """Terminal mass under the worst choice at every nondet node."""
+        value = {}
+        for level in reversed(self.levels):
+            for node in level:
+                got = [value.pop(id(child)) for _, child in node.children]
+                if is_terminal(node.state):
+                    got = [node.state.prob]
+                elif got and node.children[0][0] is Kind.NONDET:
+                    got = [min(got)]
+                value[id(node)] = sum(got, ZERO)
+        return value[id(self.root)]
 
     def to_json(self):
         nodes = []
@@ -319,26 +332,19 @@ def collect_nondet_queries(program: Program, depth: int,
 
 
 def ast_semicheck(program: Program, delta: Fraction, n: int,
-                  query_cap: int = 16,
                   node_cap: int = DEFAULT_NODE_CAP) -> bool:
     """True iff every partial schedule of size n pushes the termination
     probability within n steps strictly above delta.
 
     This is one instance of the almost-sure-termination semi-decision
     procedure: a program is AST iff for every delta < 1 some n makes this
-    true.  Schedules are enumerated lazily over the reachable queries and
-    the check short-circuits on the first failing schedule.
+    true.  Each history holds at most one nondet node, so the least terminal
+    mass of the fully branching tree is the least over partial schedules.
     """
     delta = Fraction(delta)
     if not 0 < delta < 1:
         raise ValueError("delta must lie strictly between 0 and 1")
-    queries = collect_nondet_queries(program, n, node_cap=node_cap)
-    for partial in iter_partial_schedules(n, queries, cap=query_cap):
-        got = termination_prob_upto(program, standard_extension(partial), n,
-                                    node_cap=node_cap)
-        if got <= delta:
-            return False
-    return True
+    return build_tree(program, None, n, node_cap).least_terminal_mass() > delta
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+# CPython's default limit on the digits of an int converted from or to text
+# (sys.int_info.default_max_str_digits); longer literals are refused.
+MAX_DIGITS = 4300
+
 
 # ---------------------------------------------------------------------------
 # Arithmetic and boolean expressions
@@ -372,18 +376,24 @@ class _Parser:
             return Neg(self.unary())
         return self.atom()
 
+    def integer(self, tok) -> int:
+        if len(tok.text) > MAX_DIGITS:
+            raise ParseError(f"integer literal of {len(tok.text)} digits "
+                             f"exceeds {MAX_DIGITS}", tok.line, tok.column)
+        return int(tok.text)
+
     def atom(self) -> AExpr:
         tok = self.cur
         if tok.kind == "int":
             self.pos += 1
-            num = int(tok.text)
+            num = self.integer(tok)
             if self.at("/"):
                 self.eat("/")
                 dtok = self.cur
                 if dtok.kind != "int":
                     self.error(["integer denominator"])
                 self.pos += 1
-                den = int(dtok.text)
+                den = self.integer(dtok)
                 if den == 0:
                     raise ParseError("malformed rational literal: zero denominator",
                                      dtok.line, dtok.column)
@@ -479,6 +489,20 @@ def print_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def read_rational(value) -> Fraction:
+    """Fraction(value), except that a text whose numerator or denominator
+    would have more than MAX_DIGITS digits is refused with ValueError before
+    any conversion: converting one can take seconds, printing it fails."""
+    if isinstance(value, str):
+        mantissa, _, exponent = value.lower().partition("e")
+        digits = max(sum(c.isdigit() for c in part)
+                     for part in mantissa.split("/"))
+        shift = exponent.strip().lstrip("+-").lstrip("0_")
+        if len(shift) > 8 or digits + int(shift or 0) > MAX_DIGITS:
+            raise ValueError(f"rational of more than {MAX_DIGITS} digits")
+    return Fraction(value)
 
 
 def _paren_if(text, cond):

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,12 @@ import pytest
 from pastlab import exploration
 from pastlab.cli import main
 from pastlab.exploration import StateGraph
-from pastlab.certificates import in_loop_rsm_from_bound
+from pastlab.certificates import RsmCert, in_loop_rsm_from_bound
 from pastlab.syntax import parse
 
 GEOMETRIC = "while (x = 0) { { skip } <1/2> { exit } }\n"
-RANDOM_WALK = str(pathlib.Path(__file__).resolve().parent.parent
-                  / "programs" / "random_walk.pgcl")
+PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
+RANDOM_WALK = str(PROGRAMS / "random_walk.pgcl")
 
 
 @pytest.fixture
@@ -78,6 +79,60 @@ def test_ast_check_exit_codes(tmp_path, geometric_file):
     assert main(["ast-check", geometric_file, "--delta", "1/2",
                  "--n", "12"]) == 0
     assert main(["ast-check", str(spin), "--delta", "1/2", "--n", "12"]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--delta", "abc", "--n", "12"],
+                 "delta must be a rational strictly between 0 and 1",
+                 id="delta-not-rational"),
+    pytest.param(["--delta", "1/0", "--n", "12"],
+                 "delta must be a rational strictly between 0 and 1",
+                 id="delta-zero-denominator"),
+    pytest.param(["--delta", "2", "--n", "12"],
+                 "delta must be a rational strictly between 0 and 1",
+                 id="delta-above-1"),
+    pytest.param(["--delta", "1e-10000000", "--n", "12"],
+                 "delta must be a rational strictly between 0 and 1",
+                 id="delta-too-long"),
+    pytest.param(["--delta", "1/2", "--n", "-3"], "n must be non-negative",
+                 id="negative-n"),
+])
+def test_ast_check_bad_arguments_exit_2(geometric_file, capsys, argv,
+                                        message):
+    assert main(["ast-check", geometric_file, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_ast_check_enum_cap_is_gone(geometric_file):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ast-check", geometric_file, "--delta", "1/2", "--n", "12",
+              "--enum-cap", "20"])
+    assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_ast_check_choice_loop_beyond_old_query_cap(capsys, n):
+    # 11 and 22 reachable queries: 2**11 schedule runs, and a refusal past
+    # the old 16-query enumeration cap.
+    assert main(["ast-check", str(PROGRAMS / "choice_loop.pgcl"),
+                 "--delta", "1/2", "--n", str(n)]) == 0
+    assert capsys.readouterr().out == \
+        f"every size-{n} schedule exceeds 1/2: yes\n"
+
+
+@pytest.mark.parametrize("n, answer, code", [(800, "no", 1),
+                                             (1500, "yes", 0)])
+def test_ast_check_long_program(tmp_path, capsys, n, answer, code):
+    # About 1400 steps to terminate whichever branch the scheduler takes.
+    path = tmp_path / "long.pgcl"
+    path.write_text("{ x := 1 } [] { x := 2 }; "
+                    + "; ".join(f"y := {i}" for i in range(700)) + "\n")
+    assert main(["ast-check", str(path), "--delta", "1/2",
+                 "--n", str(n)]) == code
+    assert capsys.readouterr().out == \
+        f"every size-{n} schedule exceeds 1/2: {answer}\n"
 
 
 def test_graph_and_check_rsm(geometric_file, tmp_path, capsys):
@@ -505,3 +560,69 @@ def test_too_deep_program_exits_2(tmp_path, capsys, argv, source):
     assert captured.out == ""
     assert captured.err == \
         "error: program nests too deeply for this analysis\n"
+
+
+# ---------------------------------------------------------------------------
+# Numerals too long to convert
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("source, message", [
+    pytest.param("x := " + "7" * 5000,
+                 "integer literal of 5000 digits exceeds 4300 "
+                 "at line 1, column 6", id="numerator"),
+    pytest.param("x := 1/" + "7" * 4301,
+                 "integer literal of 4301 digits exceeds 4300 "
+                 "at line 1, column 8", id="denominator"),
+])
+def test_program_literal_too_long_exits_2(tmp_path, capsys, source, message):
+    path = tmp_path / "long.pgcl"
+    path.write_text(source + "\n")
+    start = time.perf_counter()
+    assert main(["parse", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("epsilon, message", [
+    pytest.param('"1e1000000"', "certificate has a bad epsilon '1e1000000'",
+                 id="exponent"),
+    pytest.param('"1e10000000"', "certificate has a bad epsilon '1e10000000'",
+                 id="longer-exponent"),
+    pytest.param('"' + "9" * 4301 + '"',
+                 "certificate has a bad epsilon '999999999999...9999999999999'",
+                 id="digits"),
+    pytest.param("9" * 4301, "invalid JSON: Exceeds the limit",
+                 id="json-number"),
+])
+def test_certificate_value_too_long_exits_2(tmp_path, capsys, epsilon,
+                                            message):
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(json.dumps(ONE_ASSIGNMENT))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text('{"epsilon": %s, "h": %s}'
+                         % (epsilon, json.dumps(ONE_ASSIGNMENT_H)))
+    start = time.perf_counter()
+    assert main(["check-rsm", str(graph_path), str(cert_path)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+def test_certificate_with_longest_printable_values_loads(tmp_path, capsys):
+    # pastlab prints no rational with more than 4300 digits, so everything
+    # it writes reads back.
+    program = parse("x := 1")
+    graph = exploration.collapse_to_state_graph(program, 10)
+    top = 10 ** 4300 - 1
+    cert = RsmCert({0: Fraction(top, 7), 1: Fraction(0)}, Fraction(1, 7))
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(json.dumps(graph.to_json()))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert.to_json(graph)))
+    assert main(["check-rsm", str(graph_path), str(cert_path)]) == 0
+    assert capsys.readouterr().out == f"OK, bound = {top}\n"

@@ -11,7 +11,9 @@ from pastlab.exploration import (ResourceCapExceeded, StateGraph,
                                  collect_nondet_queries,
                                  exp_reach_runtime_bounds, exp_runtime_bounds,
                                  run_masses, termination_prob_upto)
-from pastlab.scheduling import RandomScheduler, constant, Ln, Rn
+from pastlab.scheduling import (RandomScheduler, constant,
+                                iter_partial_schedules, standard_extension,
+                                Ln, Rn)
 from pastlab.semantics import initial_state, is_terminal, step
 from pastlab.syntax import parse
 from pastlab.transforms import emit_inc
@@ -303,6 +305,38 @@ def test_ast_semicheck_choice_loop():
     # some desk-scale horizon pushes every schedule past 3/4.
     assert not ast_semicheck(loop, Fraction(3, 4), 12)
     assert ast_semicheck(loop, Fraction(3, 4), 40)
+
+
+def test_backward_pass_equals_enumerated_minimum(rng):
+    # The oracle enumerates every partial schedule over the reachable
+    # queries and runs each one's standard extension.
+    cases = [(CHOICE_LOOP, n) for n in (10, 25, 40)]
+    cases += [(random_program(rng, 6), 16) for _ in range(60)]
+    cases += [(random_active_program(rng), 20) for _ in range(30)]
+    skipped = scheduler_matters = 0
+    for program, n in cases:
+        queries = collect_nondet_queries(program, n)
+        if len(queries) > 12:
+            skipped += 1
+            continue
+        enumerated = [termination_prob_upto(program,
+                                            standard_extension(partial), n)
+                      for partial in iter_partial_schedules(n, queries)]
+        least = build_tree(program, None, n).least_terminal_mass()
+        assert least == min(enumerated)
+        if 0 < least < 1:
+            assert not ast_semicheck(program, least, n)
+            assert ast_semicheck(program, least / 2, n)
+        scheduler_matters += min(enumerated) != max(enumerated)
+    assert skipped <= 5
+    assert scheduler_matters >= 5
+
+
+def test_least_terminal_mass_of_scheduled_tree_is_its_terminal_mass():
+    # A scheduler leaves one child per nondet node, so there is no choice.
+    for direction in (Ln, Rn):
+        tree = build_tree(CHOICE_LOOP, constant(direction), 30)
+        assert tree.least_terminal_mass() == tree.terminal_mass()
 
 
 def test_collapse_geometric_graph():
