@@ -124,24 +124,27 @@ class Verdict:
     def describe(self, graph: Optional[StateGraph] = None) -> str:
         if self.ok:
             return "OK"
+        def show(side):
+            return print_rational(side) if isinstance(side, Fraction) else side
+
         lines = []
         for node, condition, lhs, rhs in self.violations:
             name = graph.node_key(node) if graph is not None else f"#{node}"
-            lines.append(f"{condition} at {name}: {lhs} vs {rhs}")
+            lines.append(f"{condition} at {name}: {show(lhs)} vs {show(rhs)}")
         return "\n".join(lines)
 
 
-def _successor_values(graph: StateGraph, cert: RsmCert, node: int):
+def _successor_value(graph: StateGraph, node: int, value) -> Fraction:
+    """What a non-terminal node's successors are worth under value(dst): the
+    single successor's value, the worst over nondet edges, or the
+    probability-weighted sum."""
     kind = graph.kinds[node]
     edges = graph.edges.get(node, ())
     if kind == "deterministic":
-        (edge,) = edges
-        return cert.value(edge.dst)
+        return value(edges[0].dst)
     if kind == "nondet":
-        return max(cert.value(e.dst) for e in edges)
-    if kind == "prob":
-        return sum((e.prob * cert.value(e.dst) for e in edges), ZERO)
-    raise CertificateError(f"no successor for kind {kind}")
+        return max(value(e.dst) for e in edges)
+    return sum((e.prob * value(e.dst) for e in edges), ZERO)
 
 
 def check_rsm(graph: StateGraph, cert: RsmCert,
@@ -168,7 +171,7 @@ def check_rsm(graph: StateGraph, cert: RsmCert,
             continue
         if value == 0:
             continue
-        successor = _successor_values(graph, cert, node)
+        successor = _successor_value(graph, node, cert.value)
         if successor + cert.epsilon > value:
             condition = {"deterministic": "rsm-det", "nondet": "rsm-nondet",
                          "prob": "rsm-prob"}[graph.kinds[node]]
@@ -337,22 +340,6 @@ def _components(graph: StateGraph, region: set) -> List[List[int]]:
     return components
 
 
-def _acyclic_exit_time(graph: StateGraph, node: int, known: dict) -> Fraction:
-    """1 + (successor | max | mixture) for a node whose successors all have
-    known exit times; nodes outside the region count as 0."""
-    edges = graph.edges.get(node, ())
-    if not edges:
-        raise FixpointDiverges("region not uniformly exit-bounded")
-    kind = graph.kinds[node]
-    if kind == "deterministic":
-        after = known.get(edges[0].dst, ZERO)
-    elif kind == "nondet":
-        after = max(known.get(e.dst, ZERO) for e in edges)
-    else:  # prob
-        after = sum((e.prob * known.get(e.dst, ZERO) for e in edges), ZERO)
-    return ONE + after
-
-
 def _cyclic_exit_times(graph: StateGraph, component: List[int],
                        known: dict) -> Dict[int, Fraction]:
     """Howard policy iteration over one cyclic component with exact linear
@@ -423,7 +410,10 @@ def worst_case_exit_times(graph: StateGraph, region: set) -> Dict[int, Fraction]
         node = component[0]
         if len(component) == 1 and all(e.dst != node
                                        for e in graph.edges.get(node, ())):
-            known[node] = _acyclic_exit_time(graph, node, known)
+            if not graph.edges.get(node):
+                raise FixpointDiverges("region not uniformly exit-bounded")
+            known[node] = ONE + _successor_value(
+                graph, node, lambda dst: known.get(dst, ZERO))
         else:
             known.update(_cyclic_exit_times(graph, component, known))
     return {node: known[node] for node in sorted(region)}

@@ -16,8 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import certificates, exploration, hydra, scheduling, transforms
-from .syntax import (ParseError, parse, print_program, print_rational,
-                     read_rational)
+from .syntax import (ParseError, TooManyDigits, parse, print_program,
+                     print_rational, read_rational)
 
 
 class CliError(Exception):
@@ -190,8 +190,7 @@ def cmd_check_rsm(args) -> int:
         bound = certificates.rsm_bound(cert, graph.initial)
         print(f"OK, bound = {_fmt(bound, args)}")
         return 0
-    print("REJECTED")
-    print(verdict.describe(graph))
+    print("REJECTED\n" + verdict.describe(graph))
     return 1
 
 
@@ -202,8 +201,7 @@ def cmd_check_rule(args) -> int:
     if verdict.ok:
         print("OK")
         return 0
-    print("REJECTED")
-    print(verdict.describe(graph))
+    print("REJECTED\n" + verdict.describe(graph))
     return 1
 
 
@@ -263,6 +261,21 @@ def _render_hydra(state: hydra.HydraState) -> str:
     return "\n".join(lines)
 
 
+def _hercules(spec: str):
+    """The strategy a --hercules value names: "interactive",
+    "leftmost-deepest", or ("random", seed) for random:SEED."""
+    if spec in ("interactive", "leftmost-deepest"):
+        return spec
+    kind, _, seed = spec.partition(":")
+    if kind == "random":
+        try:
+            return ("random", int(seed))
+        except ValueError:
+            pass
+    raise CliError(f"unknown hercules strategy {spec!r} (expected "
+                   f"interactive, leftmost-deepest or random:SEED)")
+
+
 def cmd_hydra(args) -> int:
     if args.action == "rank":
         state = hydra.parse_hydra(args.tree)
@@ -270,11 +283,9 @@ def cmd_hydra(args) -> int:
         return 0
     if args.action == "compile":
         state = hydra.parse_hydra(args.tree)
-        strategy = args.hercules
+        strategy = _hercules(args.hercules)
         if strategy == "interactive":
             strategy = "leftmost-deepest"
-        if strategy.startswith("random:"):
-            strategy = ("random", int(strategy.split(":")[1]))
         try:
             program = hydra.compile_to_pgcl(state, strategy)
         except hydra.HydraError as exc:
@@ -287,13 +298,12 @@ def cmd_hydra(args) -> int:
 def _play_hydra(args) -> int:
     state = hydra.parse_hydra(args.tree)
     rng = random.Random(args.seed)
-    interactive = args.hercules == "interactive"
-    if args.hercules == "leftmost-deepest":
+    strategy = _hercules(args.hercules)
+    interactive = strategy == "interactive"
+    if strategy == "leftmost-deepest":
         strategy = hydra.LeftmostDeepest()
-    elif args.hercules.startswith("random:"):
-        strategy = hydra.RandomLeaf(int(args.hercules.split(":")[1]))
     elif not interactive:
-        raise CliError(f"unknown hercules strategy {args.hercules!r}")
+        strategy = hydra.RandomLeaf(strategy[1])
     round_no = 0
     while True:
         print(_render_hydra(state))
@@ -471,7 +481,8 @@ def main(argv=None) -> int:
     except (certificates.CertificateError,
             exploration.ResourceCapExceeded,
             exploration.StateSpaceNotClosed,
-            scheduling.SchedulerAbort) as exc:
+            scheduling.SchedulerAbort,
+            TooManyDigits) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

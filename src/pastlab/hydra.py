@@ -17,6 +17,7 @@ rooted-tree isomorphism, exposed through canonical shapes.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
@@ -88,57 +89,43 @@ def leaves(tree: Tree) -> List[tuple]:
     return out
 
 
-def depth(tree: Tree) -> int:
+def _fold(tree: Tree, combine):
+    """combine(t, values of t's children) for the root, children first, by
+    an explicit stack.  Results are memoised by id, so a subtree object
+    shared by many parents is combined once."""
     memo = {}
+    stack = [(tree, iter(tree.children))]
+    while stack:
+        t, children = stack[-1]
+        for child in children:
+            if id(child) not in memo:
+                stack.append((child, iter(child.children)))
+                break
+        else:
+            stack.pop()
+            memo[id(t)] = combine(t, [memo[id(c)] for c in t.children])
+    return memo[id(tree)]
 
-    def go(t):
-        key = id(t)
-        if key not in memo:
-            memo[key] = 0 if t.is_leaf() else 1 + max(go(c) for c in t.children)
-        return memo[key]
 
-    return go(tree)
+def depth(tree: Tree) -> int:
+    return _fold(tree, lambda t, below: 1 + max(below) if below else 0)
 
 
 def head_count(tree: Tree) -> int:
     """Number of heads: leaves that hang on an edge."""
     if tree.is_leaf():
         return 0
-    memo = {}
-
-    def go(t):
-        key = id(t)
-        if key not in memo:
-            memo[key] = 1 if t.is_leaf() else sum(go(c) for c in t.children)
-        return memo[key]
-
-    return go(tree)
+    return _fold(tree, lambda t, below: sum(below) if below else 1)
 
 
 def node_count(tree: Tree) -> int:
-    memo = {}
-
-    def go(t):
-        key = id(t)
-        if key not in memo:
-            memo[key] = 1 + sum(go(c) for c in t.children)
-        return memo[key]
-
-    return go(tree)
+    return _fold(tree, lambda t, below: 1 + sum(below))
 
 
 def canonical_shape(tree: Tree) -> str:
     """Parenthesised canonical form; equal strings mean isomorphic trees."""
-    memo = {}
-
-    def go(t):
-        key = id(t)
-        if key not in memo:
-            parts = sorted((go(c) for c in t.children), reverse=True)
-            memo[key] = "(" + "".join(parts) + ")"
-        return memo[key]
-
-    return go(tree)
+    return _fold(tree, lambda t, below:
+                 "(" + "".join(sorted(below, reverse=True)) + ")")
 
 
 def isomorphic(a: Tree, b: Tree) -> bool:
@@ -207,24 +194,12 @@ def T(h) -> Ordinal:
     """Ordinal rank of a hydra: leaves rank 0, internal nodes the natural
     sum of omega to the rank of each child."""
     tree = h.tree if isinstance(h, HydraState) else h
-    memo = {}
 
-    def go(t):
-        key = id(t)
-        if key in memo:
-            return memo[key]
-        if t.is_leaf():
-            memo[key] = ordinal.ZERO
-            return memo[key]
-        terms = {}
-        for child in t.children:
-            exponent = go(child)
-            terms[exponent] = terms.get(exponent, 0) + 1
-        ordered = sorted(terms.items(), key=lambda kv: kv[0], reverse=True)
-        memo[key] = Ordinal(tuple(ordered))
-        return memo[key]
+    def rank(t, exponents):
+        terms = Counter(exponents).items()
+        return Ordinal(tuple(sorted(terms, key=lambda kv: kv[0], reverse=True)))
 
-    return go(tree)
+    return _fold(tree, rank)
 
 
 # ---------------------------------------------------------------------------

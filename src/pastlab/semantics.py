@@ -22,12 +22,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .syntax import (ABin, AExpr, Assign, BBin, BExpr, BoolLit, Cmp, Empty,
-                     Exit, If, Neg, NondetChoice, Not, ProbChoice, Program,
-                     RatLit, Seq, Skip, Var, While, parse, print_program,
-                     print_rational)
+from .syntax import (ABin, AExpr, Assign, BBin, BExpr, BoolLit, Cmp, EMPTY,
+                     Empty, Exit, If, Neg, NondetChoice, Not, ProbChoice,
+                     Program, RatLit, Seq, Skip, Var, While, parse,
+                     print_program, print_rational)
 
 ONE = Fraction(1)
 
@@ -214,85 +213,55 @@ class TerminalStepError(Exception):
     """Raised when asked to step a state whose program is already empty."""
 
 
-@dataclass(frozen=True)
-class _Branch:
-    # One successor of the head redex, before the sequence context is rebuilt.
-    program: Program
-    valuation: Valuation
-    prob_factor: Optional[Fraction]  # None: unchanged; else multiply
-    direction: Optional[Direction]
-    kind: Kind
-    aborts: bool  # an exit collapses every enclosing sequence context
+def _split(program):
+    """The head redex and the sequence rests pending around it, outermost
+    first: the redex is the program with its Seq spine peeled, or a Seq
+    whose finished first component is discharged next."""
+    rests = []
+    while isinstance(program, Seq) and not isinstance(program.first, Empty):
+        rests.append(program.rest)
+        program = program.first
+    return program, rests
 
 
-def _head_branches(program, valuation, history, scheduler):
-    """Successor branches of the leftmost redex, ignoring Seq context."""
-    if isinstance(program, Assign):
-        value = eval_aexpr(program.expr, valuation)
-        return [_Branch(Empty(), valuation.set(program.var, value),
-                        None, None, Kind.DETERMINISTIC, False)]
-    if isinstance(program, Skip):
-        return [_Branch(Empty(), valuation, None, None,
-                        Kind.DETERMINISTIC, False)]
-    if isinstance(program, Exit):
-        return [_Branch(Empty(), valuation, None, None,
-                        Kind.DETERMINISTIC, True)]
-    if isinstance(program, If):
-        chosen = program.then if eval_bexpr(program.guard, valuation) \
-            else program.orelse
-        return [_Branch(chosen, valuation, None, None,
-                        Kind.DETERMINISTIC, False)]
-    if isinstance(program, While):
-        if eval_bexpr(program.guard, valuation):
-            unfolded = Seq(program.body, program)
-            return [_Branch(unfolded, valuation, None, None,
-                            Kind.DETERMINISTIC, False)]
-        return [_Branch(Empty(), valuation, None, None,
-                        Kind.DETERMINISTIC, False)]
-    if isinstance(program, ProbChoice):
-        p = eval_aexpr(program.prob, valuation)
+def _redex_successors(redex, valuation, history, scheduler):
+    """(program, valuation, factor, direction, kind) for each successor of
+    the head redex alone; a factor of None leaves the probability as is."""
+    det = Kind.DETERMINISTIC
+    if isinstance(redex, Assign):
+        value = eval_aexpr(redex.expr, valuation)
+        return [(EMPTY, valuation.set(redex.var, value), None, None, det)]
+    if isinstance(redex, (Skip, Exit)):
+        return [(EMPTY, valuation, None, None, det)]
+    if isinstance(redex, If):
+        chosen = redex.then if eval_bexpr(redex.guard, valuation) \
+            else redex.orelse
+        return [(chosen, valuation, None, None, det)]
+    if isinstance(redex, While):
+        if eval_bexpr(redex.guard, valuation):
+            return [(Seq(redex.body, redex), valuation, None, None, det)]
+        return [(EMPTY, valuation, None, None, det)]
+    if isinstance(redex, ProbChoice):
+        p = eval_aexpr(redex.prob, valuation)
         if p <= 0:
-            return [_Branch(program.right, valuation, None, Direction.Rp,
-                            Kind.PROB_RIGHT, False)]
+            return [(redex.right, valuation, None, Direction.Rp,
+                     Kind.PROB_RIGHT)]
         if p >= 1:
-            return [_Branch(program.left, valuation, None, Direction.Lp,
-                            Kind.PROB_LEFT, False)]
-        return [
-            _Branch(program.left, valuation, p, Direction.Lp,
-                    Kind.PROB_LEFT, False),
-            _Branch(program.right, valuation, 1 - p, Direction.Rp,
-                    Kind.PROB_RIGHT, False),
-        ]
-    if isinstance(program, NondetChoice):
+            return [(redex.left, valuation, None, Direction.Lp,
+                     Kind.PROB_LEFT)]
+        return [(redex.left, valuation, p, Direction.Lp, Kind.PROB_LEFT),
+                (redex.right, valuation, 1 - p, Direction.Rp, Kind.PROB_RIGHT)]
+    if isinstance(redex, NondetChoice):
+        left = (redex.left, valuation, None, Direction.Ln, Kind.NONDET)
+        right = (redex.right, valuation, None, Direction.Rn, Kind.NONDET)
         if scheduler is None:
             # Caller wants both directions (full branching exploration).
-            return [
-                _Branch(program.left, valuation, None, Direction.Ln,
-                        Kind.NONDET, False),
-                _Branch(program.right, valuation, None, Direction.Rn,
-                        Kind.NONDET, False),
-            ]
-        direction = scheduler.decide(history, site=program)
-        if direction == Direction.Ln:
-            return [_Branch(program.left, valuation, None, Direction.Ln,
-                            Kind.NONDET, False)]
-        return [_Branch(program.right, valuation, None, Direction.Rn,
-                        Kind.NONDET, False)]
-    if isinstance(program, Seq):
-        if isinstance(program.first, Empty):
-            return [_Branch(program.rest, valuation, None, None,
-                            Kind.DETERMINISTIC, False)]
-        branches = _head_branches(program.first, valuation, history,
-                                  scheduler)
-        out = []
-        for br in branches:
-            # An aborting branch already collapsed everything; otherwise the
-            # rest of the sequence is still pending.
-            new_prog = br.program if br.aborts else Seq(br.program, program.rest)
-            out.append(_Branch(new_prog, br.valuation, br.prob_factor,
-                               br.direction, br.kind, br.aborts))
-        return out
-    raise TerminalStepError(f"cannot step program {program!r}")
+            return [left, right]
+        chosen = scheduler.decide(history, site=redex)
+        return [left if chosen == Direction.Ln else right]
+    if isinstance(redex, Seq):  # its first component has finished
+        return [(redex.rest, valuation, None, None, det)]
+    raise TerminalStepError(f"cannot step program {redex!r}")
 
 
 def step(state: ExecState, scheduler) -> StepOutcome:
@@ -305,16 +274,19 @@ def step(state: ExecState, scheduler) -> StepOutcome:
     """
     if is_terminal(state):
         raise TerminalStepError("cannot step a terminal state")
-    branches = _head_branches(state.program, state.valuation, state.history,
-                              scheduler)
+    redex, rests = _split(state.program)
+    if isinstance(redex, Exit):  # exit collapses every pending rest
+        rests = ()
     out = []
-    for br in branches:
-        prob = state.prob if br.prob_factor is None \
-            else state.prob * br.prob_factor
-        history = state.history if br.direction is None \
-            else state.history + (br.direction,)
-        out.append(Successor(ExecState(br.program, br.valuation, prob,
-                                       history), br.kind))
+    for program, valuation, factor, direction, kind in _redex_successors(
+            redex, state.valuation, state.history, scheduler):
+        for rest in reversed(rests):
+            program = Seq(program, rest)
+        prob = state.prob if factor is None else state.prob * factor
+        history = state.history if direction is None \
+            else state.history + (direction,)
+        out.append(Successor(ExecState(program, valuation, prob, history),
+                             kind))
     return out
 
 
@@ -325,9 +297,7 @@ def step_all(state: ExecState) -> StepOutcome:
 
 def head_redex(program: Program) -> Program:
     """The subprogram the next step will act on (Seq spines peeled)."""
-    while isinstance(program, Seq) and not isinstance(program.first, Empty):
-        program = program.first
-    return program
+    return _split(program)[0]
 
 
 def classify(ps: ProgramState) -> str:

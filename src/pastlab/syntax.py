@@ -26,7 +26,7 @@ arithmetic expressions evaluated at run time; rational literals are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -156,6 +156,23 @@ Program = Union[Empty, Skip, Exit, Assign, Seq, ProbChoice, NondetChoice, While,
 EMPTY = Empty()
 SKIP = Skip()
 EXIT = Exit()
+
+
+def term_fields(term) -> list:
+    """(name, value) for each field of a term that holds a term."""
+    pairs = [(f.name, getattr(term, f.name)) for f in fields(term)]
+    return [(name, value) for name, value in pairs if is_dataclass(value)]
+
+
+def subterms(term):
+    """Yield a term and every term below it, parents before children and
+    left before right.  The walk keeps its own stack, so a program of any
+    length or nesting is walked without recursion."""
+    stack = [term]
+    while stack:
+        term = stack.pop()
+        yield term
+        stack.extend(value for _, value in reversed(term_fields(term)))
 
 
 def seq_of(stmts) -> Program:
@@ -485,23 +502,44 @@ def parse_bexpr(source: str) -> BExpr:
 # Printer
 # ---------------------------------------------------------------------------
 
+class TooManyDigits(ValueError):
+    """A rational whose numerator or denominator has more than MAX_DIGITS
+    digits, which CPython can neither read from nor write to text."""
+
+    def __init__(self):
+        super().__init__(f"rational of more than {MAX_DIGITS} digits")
+
+
+_DIGIT_LIMIT = 10 ** MAX_DIGITS  # the least integer of MAX_DIGITS + 1 digits
+_DIGIT_LIMIT_BITS = _DIGIT_LIMIT.bit_length()
+
+
 def print_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """num/den, or num alone when den is 1; TooManyDigits when either has
+    more than MAX_DIGITS digits.  The bit length test is O(1) and only
+    numbers of at least the limit's bit length are compared with it."""
+    num, den = q.numerator, q.denominator
+    if (num.bit_length() >= _DIGIT_LIMIT_BITS
+            or den.bit_length() >= _DIGIT_LIMIT_BITS) \
+            and max(abs(num), den) >= _DIGIT_LIMIT:
+        raise TooManyDigits()
+    if den == 1:
+        return str(num)
+    return f"{num}/{den}"
 
 
 def read_rational(value) -> Fraction:
     """Fraction(value), except that a text whose numerator or denominator
-    would have more than MAX_DIGITS digits is refused with ValueError before
-    any conversion: converting one can take seconds, printing it fails."""
+    would have more than MAX_DIGITS digits is refused with TooManyDigits
+    before any conversion: converting one can take seconds, printing it
+    fails."""
     if isinstance(value, str):
         mantissa, _, exponent = value.lower().partition("e")
         digits = max(sum(c.isdigit() for c in part)
                      for part in mantissa.split("/"))
         shift = exponent.strip().lstrip("+-").lstrip("0_")
         if len(shift) > 8 or digits + int(shift or 0) > MAX_DIGITS:
-            raise ValueError(f"rational of more than {MAX_DIGITS} digits")
+            raise TooManyDigits()
     return Fraction(value)
 
 

@@ -38,13 +38,13 @@ number is computed by a counting loop since the language has no division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional
 
 from .syntax import (ABin, Assign, BBin, BoolLit, Cmp, EMPTY, EXIT, Empty,
-                     Exit, If, Neg, NondetChoice, ProbChoice, Program, RatLit,
-                     SKIP, Seq, Skip, Var, While, seq_of)
+                     Exit, If, NondetChoice, ProbChoice, Program, RatLit, SKIP,
+                     Seq, Skip, Var, While, seq_of, subterms, term_fields)
 from .semantics import eval_aexpr, EMPTY_VALUATION
 
 
@@ -168,18 +168,8 @@ def ord_of_tree(spec: TreeSpec):
 
 def is_knievel(p: Program) -> bool:
     """True when every probabilistic choice is { skip } <p> { exit }."""
-    if isinstance(p, ProbChoice):
-        return (isinstance(p.left, Skip) and isinstance(p.right, Exit)
-                and is_knievel(p.left) and is_knievel(p.right))
-    if isinstance(p, Seq):
-        return is_knievel(p.first) and is_knievel(p.rest)
-    if isinstance(p, NondetChoice):
-        return is_knievel(p.left) and is_knievel(p.right)
-    if isinstance(p, While):
-        return is_knievel(p.body)
-    if isinstance(p, If):
-        return is_knievel(p.then) and is_knievel(p.orelse)
-    return True
+    return all(isinstance(t.left, Skip) and isinstance(t.right, Exit)
+               for t in subterms(p) if isinstance(t, ProbChoice))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +384,7 @@ def _compile_instructions(program: Program):
             right = compile_node(p.right, next_pc, loop_depth)
             return emit(_Instr("nondet", (left, right)))
         if isinstance(p, ProbChoice):
-            if _has_variable(p.prob):
+            if any(isinstance(t, Var) for t in subterms(p.prob)):
                 raise NonConstantProbability(
                     "probabilistic choice with state-dependent probability")
             value = eval_aexpr(p.prob, EMPTY_VALUATION)
@@ -427,83 +417,17 @@ def _compile_instructions(program: Program):
     return instrs, entry, halt, prob_in_loop[0]
 
 
-def _has_variable(expr) -> bool:
-    if isinstance(expr, Var):
-        return True
-    if isinstance(expr, Neg):
-        return _has_variable(expr.operand)
-    if isinstance(expr, ABin):
-        return _has_variable(expr.left) or _has_variable(expr.right)
-    return False
-
-
 def _source_vars(program: Program) -> list:
-    names = set()
-
-    def walk_a(e):
-        if isinstance(e, Var):
-            names.add(e.name)
-        elif isinstance(e, Neg):
-            walk_a(e.operand)
-        elif isinstance(e, ABin):
-            walk_a(e.left)
-            walk_a(e.right)
-
-    def walk_b(b):
-        if isinstance(b, Cmp):
-            walk_a(b.left)
-            walk_a(b.right)
-        elif isinstance(b, BBin):
-            walk_b(b.left)
-            walk_b(b.right)
-        elif hasattr(b, "operand"):
-            walk_b(b.operand)
-
-    def walk(p):
-        if isinstance(p, Assign):
-            names.add(p.var)
-            walk_a(p.expr)
-        elif isinstance(p, Seq):
-            walk(p.first)
-            walk(p.rest)
-        elif isinstance(p, (NondetChoice,)):
-            walk(p.left)
-            walk(p.right)
-        elif isinstance(p, ProbChoice):
-            walk_a(p.prob)
-            walk(p.left)
-            walk(p.right)
-        elif isinstance(p, While):
-            walk_b(p.guard)
-            walk(p.body)
-        elif isinstance(p, If):
-            walk_b(p.guard)
-            walk(p.then)
-            walk(p.orelse)
-
-    walk(program)
-    return sorted(names)
+    return sorted({t.var if isinstance(t, Assign) else t.name
+                   for t in subterms(program) if isinstance(t, (Assign, Var))})
 
 
-def _rename_expr(expr, slot):
-    if isinstance(expr, Var):
-        return Var(f"s{slot}_{expr.name}")
-    if isinstance(expr, Neg):
-        return Neg(_rename_expr(expr.operand, slot))
-    if isinstance(expr, ABin):
-        return ABin(expr.op, _rename_expr(expr.left, slot),
-                    _rename_expr(expr.right, slot))
-    return expr
-
-
-def _rename_bexpr(b, slot):
-    if isinstance(b, Cmp):
-        return Cmp(b.op, _rename_expr(b.left, slot), _rename_expr(b.right, slot))
-    if isinstance(b, BBin):
-        return BBin(b.op, _rename_bexpr(b.left, slot), _rename_bexpr(b.right, slot))
-    if isinstance(b, BoolLit):
-        return b
-    return type(b)(_rename_bexpr(b.operand, slot))
+def _rename(node, slot):
+    """The expression with every variable x renamed to s<slot>_x."""
+    if isinstance(node, Var):
+        return Var(f"s{slot}_{node.name}")
+    return replace(node, **{name: _rename(value, slot)
+                            for name, value in term_fields(node)})
 
 
 def to_knievel(program: Program, horizon_policy="double",
@@ -564,12 +488,12 @@ def to_knievel(program: Program, horizon_policy="double",
         if instr.kind == "assign":
             var, expr = instr.payload
             return seq_of([
-                Assign(f"s{slot}_{var}", _rename_expr(expr, slot)),
+                Assign(f"s{slot}_{var}", _rename(expr, slot)),
                 goto(slot, instr.next),
             ])
         if instr.kind == "test":
             guard, then, orelse = instr.payload
-            return If(_rename_bexpr(guard, slot),
+            return If(_rename(guard, slot),
                       goto(slot, then), goto(slot, orelse))
         if instr.kind == "nondet":
             left, right = instr.payload

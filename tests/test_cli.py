@@ -562,6 +562,23 @@ def test_too_deep_program_exits_2(tmp_path, capsys, argv, source):
         "error: program nests too deeply for this analysis\n"
 
 
+def _coins(count, last="{ skip } <1/2> { exit }"):
+    return "; ".join(["{ skip } <1/2> { exit }"] * (count - 1) + [last])
+
+
+@pytest.mark.parametrize("source, answer, code", [
+    pytest.param(_assignments(3000), "yes", 0, id="statements"),
+    pytest.param(_coins(2000), "yes", 0, id="coins"),
+    pytest.param(_coins(2000, last="{ exit } <1/2> { skip }"), "no", 1,
+                 id="coins-last-swapped"),
+])
+def test_knievel_has_no_length_limit(tmp_path, capsys, source, answer, code):
+    path = tmp_path / "long.pgcl"
+    path.write_text(source + "\n")
+    assert main(["knievel", str(path)]) == code
+    assert capsys.readouterr().out == f"normal form: {answer}\n"
+
+
 # ---------------------------------------------------------------------------
 # Numerals too long to convert
 # ---------------------------------------------------------------------------
@@ -626,3 +643,56 @@ def test_certificate_with_longest_printable_values_loads(tmp_path, capsys):
     cert_path.write_text(json.dumps(cert.to_json(graph)))
     assert main(["check-rsm", str(graph_path), str(cert_path)]) == 0
     assert capsys.readouterr().out == f"OK, bound = {top}\n"
+
+
+# A program whose second value has 8000 digits, more than can be printed.
+SQUARED = "x := " + "9" * 4000 + "; y := x * x\n"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["graph"], id="graph"),
+    pytest.param(["tree", "--depth", "4", "--format", "json"], id="tree-json"),
+])
+def test_value_too_long_to_print_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "squared.pgcl"
+    path.write_text(SQUARED)
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rational of more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("source, h, epsilon", [
+    # Each value prints, but the bound h/epsilon = 10^8598 does not.
+    pytest.param("x := 1", {"x := 1 | ": "1" + "0" * 4299, "bot | x=1": "0"},
+                 "1/1" + "0" * 4299, id="bound"),
+    # Rejected, but the side h(successor) + epsilon = 2 * (10^4300 - 1)
+    # does not print.
+    pytest.param("x := 1; y := 1",
+                 {"x := 1; y := 1 | ": "1", "bot; y := 1 | x=1": "9" * 4300,
+                  "y := 1 | x=1": "9" * 4300, "bot | x=1,y=1": "0"},
+                 "9" * 4300, id="rejection"),
+])
+def test_check_rsm_result_too_long_to_print_exits_2(tmp_path, capsys, source,
+                                                    h, epsilon):
+    program_path = tmp_path / "program.pgcl"
+    program_path.write_text(source + "\n")
+    graph_path = tmp_path / "graph.json"
+    assert main(["graph", str(program_path), "-o", str(graph_path)]) == 0
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps({"epsilon": epsilon, "h": h}))
+    assert main(["check-rsm", str(graph_path), str(cert_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rational of more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("action", ["play", "compile"])
+@pytest.mark.parametrize("spec", ["random:abc", "random:", "sideways"])
+def test_bad_hercules_strategy_exits_2(capsys, action, spec):
+    assert main(["hydra", action, "--tree", "((()))", "--hercules", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: unknown hercules strategy {spec!r} "
+                            f"(expected interactive, leftmost-deepest or "
+                            f"random:SEED)\n")

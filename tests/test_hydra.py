@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,9 @@ import pytest
 from pastlab import ordinal
 from pastlab.hydra import (EncodingWidthError, HydraError, HydraState,
                            LeftmostDeepest, RandomLeaf, Scripted, T, Tree,
-                           LEAF, canonical_shape, compile_to_pgcl,
+                           LEAF, canonical_shape, compile_to_pgcl, depth,
                            head_count, hercules_choose, hydra_from_json,
-                           hydra_to_json, isomorphic, leaves,
+                           hydra_to_json, isomorphic, leaves, node_count,
                            parse_hydra, play_round, print_hydra,
                            successors_T, surviving, tree_from_counts)
 from pastlab.ordinal import OMEGA, ZERO, from_natural, natural_sum
@@ -339,3 +340,23 @@ def test_compile_scripted_and_random_strategies():
     assert is_knievel(shuffled)
     again = compile_to_pgcl(state, ("random", 3))
     assert shuffled == again  # deterministic per seed
+
+
+def test_measures_of_a_deep_chain():
+    # Deeper than the interpreter's recursion limit.  T is left out: it
+    # hashes ordinals, and that hash is still recursive.
+    chain = LEAF
+    for _ in range(3000):
+        chain = Tree((chain,))
+    assert depth(chain) == 3000
+    assert node_count(chain) == 3001
+    assert head_count(chain) == 1
+    assert canonical_shape(chain) == "(" * 3001 + ")" * 3001
+
+
+def test_node_count_combines_a_shared_subtree_once():
+    shared = parse_hydra("((())())").tree
+    star = Tree((shared,) * 10 ** 6)
+    start = time.perf_counter()
+    assert node_count(star) == 1 + 4 * 10 ** 6
+    assert time.perf_counter() - start < 1

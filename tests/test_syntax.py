@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from pastlab.syntax import (ABin, Assign, BBin, BoolLit, Cmp, EMPTY, EXIT,
                             If, Neg, NondetChoice, Not, ParseError,
-                            ProbChoice, RatLit, SKIP, Seq, Var, While,
-                            parse, parse_aexpr, print_program, seq_of)
+                            ProbChoice, RatLit, SKIP, Seq, TooManyDigits, Var,
+                            While, parse, parse_aexpr, print_program,
+                            print_rational, seq_of, subterms)
 from conftest import random_program
 
 idents = st.sampled_from(("x", "y", "longer_name2"))
@@ -150,3 +151,24 @@ def test_print_parse_print_fixpoint():
         program = random_program(rng, 5)
         once = print_program(program)
         assert print_program(parse(once)) == once
+
+
+def test_subterms_parents_first_left_to_right():
+    program = parse("x := y + 1; { skip } <1/2> { exit }")
+    assert [type(t).__name__ for t in subterms(program)] == [
+        "Seq", "Assign", "ABin", "Var", "RatLit",
+        "ProbChoice", "Skip", "RatLit", "Exit"]
+    long = seq_of([SKIP] * 5000)
+    assert sum(1 for _ in subterms(long)) == 2 * 5000 - 1
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(10 ** 4300), Fraction(-10 ** 4300), Fraction(1, 10 ** 4300)])
+def test_print_rational_refuses_more_than_4300_digits(value):
+    with pytest.raises(TooManyDigits):
+        print_rational(value)
+
+
+def test_print_rational_prints_4300_digits():
+    top = 10 ** 4300 - 1
+    assert print_rational(Fraction(-top, top - 1)) == f"-{top}/{top - 1}"
