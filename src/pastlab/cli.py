@@ -79,7 +79,7 @@ def _scheduler(args):
 
 def _fmt(value: Fraction, args) -> str:
     text = print_rational(value)
-    if getattr(args, "decimal", False):
+    if args.decimal:
         return f"{text} (~{float(value):.6g})"
     return text
 
@@ -127,9 +127,10 @@ def cmd_tree(args) -> int:
     if args.format == "json":
         _write_output(json.dumps(tree.to_json(), indent=2), args.output)
     else:
-        print(f"nodes: {tree.node_count()}")
-        print(f"terminal mass: {_fmt(tree.terminal_mass(), args)}")
-        print(f"frontier mass: {_fmt(tree.frontier_mass(), args)}")
+        _write_output(f"nodes: {tree.node_count()}\n"
+                      f"terminal mass: {_fmt(tree.terminal_mass(), args)}\n"
+                      f"frontier mass: {_fmt(tree.frontier_mass(), args)}",
+                      args.output)
     return 0
 
 
@@ -167,10 +168,7 @@ def cmd_ast_check(args) -> int:
 
 def cmd_graph(args) -> int:
     program = _read_program(args.file)
-    try:
-        graph = exploration.collapse_to_state_graph(program, args.bound)
-    except exploration.StateSpaceNotClosed as exc:
-        raise CliError(str(exc)) from exc
+    graph = exploration.collapse_to_state_graph(program, args.bound)
     _write_output(json.dumps(graph.to_json(), indent=2), args.output)
     return 0
 
@@ -211,10 +209,7 @@ def cmd_knievel(args) -> int:
         normal = transforms.is_knievel(program)
         print("normal form: " + ("yes" if normal else "no"))
         return 0 if normal else 1
-    try:
-        output = transforms.to_knievel(program, args.horizon)
-    except transforms.TransformError as exc:
-        raise CliError(str(exc)) from exc
+    output = transforms.to_knievel(program, args.horizon)
     _write_output(print_program(output), args.output)
     return 0
 
@@ -232,13 +227,10 @@ def _tree_spec(text: str) -> transforms.TreeSpec:
 
 def cmd_emit(args) -> int:
     spec = _tree_spec(args.tree)
-    try:
-        if args.kind == "reduction":
-            program = transforms.emit_tree_reduction(spec)
-        else:
-            program = transforms.emit_ordinal_program(spec)
-    except transforms.TransformError as exc:
-        raise CliError(str(exc)) from exc
+    if args.kind == "reduction":
+        program = transforms.emit_tree_reduction(spec)
+    else:
+        program = transforms.emit_ordinal_program(spec)
     _write_output(print_program(program), args.output)
     return 0
 
@@ -276,26 +268,19 @@ def _hercules(spec: str):
                    f"interactive, leftmost-deepest or random:SEED)")
 
 
-def cmd_hydra(args) -> int:
-    if args.action == "rank":
-        state = hydra.parse_hydra(args.tree)
-        print(hydra.T(state))
-        return 0
-    if args.action == "compile":
-        state = hydra.parse_hydra(args.tree)
-        strategy = _hercules(args.hercules)
-        if strategy == "interactive":
-            strategy = "leftmost-deepest"
-        try:
-            program = hydra.compile_to_pgcl(state, strategy)
-        except hydra.HydraError as exc:
-            raise CliError(str(exc)) from exc
-        _write_output(print_program(program), args.output)
-        return 0
-    return _play_hydra(args)
+def cmd_hydra_rank(args) -> int:
+    print(hydra.T(hydra.parse_hydra(args.tree)))
+    return 0
 
 
-def _play_hydra(args) -> int:
+def cmd_hydra_compile(args) -> int:
+    state = hydra.parse_hydra(args.tree)
+    program = hydra.compile_to_pgcl(state, _hercules(args.hercules))
+    _write_output(print_program(program), args.output)
+    return 0
+
+
+def cmd_hydra_play(args) -> int:
     state = hydra.parse_hydra(args.tree)
     rng = random.Random(args.seed)
     strategy = _hercules(args.hercules)
@@ -358,104 +343,102 @@ def _play_hydra(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+# The options more than one command reads, by the attribute they set.  Each
+# command lists the ones its cmd_* function reads and accepts no other.
+OPTIONS = {
+    "scheduler": (("--scheduler",), {
+        "default": "const:Ln",
+        "help": "const:Ln | const:Rn | alt | random[:SEED] | bounded:K:SPEC | "
+                "interactive"}),
+    "depth": (("--depth",), {"type": int, "default": 64}),
+    "seed": (("--seed",), {"type": int, "default": 0,
+                           "help": "random seed (deterministic default)"}),
+    "node_cap": (("--node-cap",), {
+        "type": int, "default": None,
+        "help": "exploration node cap "
+                "(env PASTLAB_NODE_CAP overrides default)"}),
+    "format": (("--format",), {"choices": ("text", "json"),
+                               "default": "text"}),
+    "decimal": (("--decimal",), {"action": "store_true",
+                                 "help": "add approximate decimal values"}),
+    "output": (("-o", "--output"), {"default": None}),
+}
+
+
+def command(parent, name, fn, *options, summary):
+    """Add subcommand `name`, run by `fn`, with the listed OPTIONS."""
+    p = parent.add_parser(name, help=summary)
+    for option in options:
+        flags, spec = OPTIONS[option]
+        p.add_argument(*flags, **spec)
+    p.set_defaults(fn=fn)
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pastlab",
         description="probabilistic-termination analysis workbench")
     sub = parser.add_subparsers(dest="command", required=True)
+    walk = ("scheduler", "depth", "seed", "node_cap")
 
-    def common(p, scheduler=True, depth=True):
-        p.add_argument("--seed", type=int, default=0,
-                       help="random seed (deterministic default)")
-        p.add_argument("--node-cap", type=int, default=None,
-                       help="exploration node cap "
-                            "(env PASTLAB_NODE_CAP overrides default)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--decimal", action="store_true",
-                       help="add approximate decimal values")
-        if scheduler:
-            p.add_argument("--scheduler", default="const:Ln",
-                           help="const:Ln | const:Rn | alt | random[:seed] | "
-                                "bounded:k:SPEC | interactive")
-        if depth:
-            p.add_argument("--depth", type=int, default=64)
+    command(sub, "parse", cmd_parse, "format",
+            summary="parse and pretty-print a program").add_argument("file")
+    command(sub, "run", cmd_run, *walk, "format", "decimal",
+            summary="bounded run: terminal and frontier mass"
+            ).add_argument("file")
+    command(sub, "tree", cmd_tree, *walk, "format", "decimal", "output",
+            summary="dump the bounded execution tree").add_argument("file")
+    command(sub, "runtime", cmd_runtime, *walk, "decimal",
+            summary="expected-runtime series bounds").add_argument("file")
 
-    p = sub.add_parser("parse", help="parse and pretty-print a program")
-    p.add_argument("file")
-    common(p, scheduler=False, depth=False)
-    p.set_defaults(fn=cmd_parse)
-
-    p = sub.add_parser("run", help="bounded run: terminal and frontier mass")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=cmd_run)
-
-    p = sub.add_parser("tree", help="dump the bounded execution tree")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", default=None)
-    common(p)
-    p.set_defaults(fn=cmd_tree)
-
-    p = sub.add_parser("runtime", help="expected-runtime series bounds")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=cmd_runtime)
-
-    p = sub.add_parser("ast-check",
-                       help="semi-decision step for almost-sure termination")
+    p = command(sub, "ast-check", cmd_ast_check, "node_cap",
+                summary="semi-decision step for almost-sure termination")
     p.add_argument("file")
     p.add_argument("--delta", required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p, scheduler=False, depth=False)
-    p.set_defaults(fn=cmd_ast_check)
 
-    p = sub.add_parser("graph", help="collapse to a program-state graph")
+    p = command(sub, "graph", cmd_graph, "output",
+                summary="collapse to a program-state graph")
     p.add_argument("file")
     p.add_argument("--bound", type=int, default=1000)
-    p.add_argument("-o", "--output", default=None)
-    common(p, scheduler=False, depth=False)
-    p.set_defaults(fn=cmd_graph)
 
-    p = sub.add_parser("check-rsm", help="check a supermartingale certificate")
-    p.add_argument("graph")
-    p.add_argument("cert")
-    common(p, scheduler=False, depth=False)
-    p.set_defaults(fn=cmd_check_rsm)
+    for p in (command(sub, "check-rsm", cmd_check_rsm, "decimal",
+                      summary="check a supermartingale certificate"),
+              command(sub, "check-rule", cmd_check_rule,
+                      summary="check an ordinal rank certificate")):
+        p.add_argument("graph")
+        p.add_argument("cert")
 
-    p = sub.add_parser("check-rule", help="check an ordinal rank certificate")
-    p.add_argument("graph")
-    p.add_argument("cert")
-    common(p, scheduler=False, depth=False)
-    p.set_defaults(fn=cmd_check_rule)
-
-    p = sub.add_parser("knievel", help="normal-form test or transformation")
+    p = command(sub, "knievel", cmd_knievel, "output",
+                summary="normal-form test or transformation")
     p.add_argument("file")
     p.add_argument("--transform", action="store_true")
     p.add_argument("--horizon", default="double")
-    p.add_argument("-o", "--output", default=None)
-    common(p, scheduler=False, depth=False)
-    p.set_defaults(fn=cmd_knievel)
 
-    p = sub.add_parser("emit", help="emit a tree-reduction program")
+    p = command(sub, "emit", cmd_emit, "output",
+                summary="emit a tree-reduction program")
     p.add_argument("kind", choices=("reduction", "ordinal"))
     p.add_argument("--tree", required=True,
                    help="rule name, inline JSON, or a JSON file path")
-    p.add_argument("-o", "--output", default=None)
-    common(p, scheduler=False, depth=False)
-    p.set_defaults(fn=cmd_emit)
 
-    p = sub.add_parser("hydra", help="the stochastic hydra game")
-    p.add_argument("action", choices=("play", "rank", "compile"))
-    p.add_argument("--tree", required=True,
-                   help='nested parentheses, e.g. "((()))"')
-    p.add_argument("--hercules", default="interactive",
-                   help="interactive | leftmost-deepest | random:SEED")
-    p.add_argument("--evolutions", type=int, default=0,
-                   help="evolutions per round for scripted strategies")
-    p.add_argument("-o", "--output", default=None)
-    common(p, scheduler=False, depth=False)
-    p.set_defaults(fn=cmd_hydra)
-
+    actions = sub.add_parser("hydra", help="the stochastic hydra game"
+                             ).add_subparsers(dest="action", required=True)
+    rank = command(actions, "rank", cmd_hydra_rank,
+                   summary="print the ordinal T of a hydra")
+    compile_ = command(actions, "compile", cmd_hydra_compile, "output",
+                       summary="compile the game into a pGCL program")
+    compile_.add_argument("--hercules", default="leftmost-deepest",
+                          help="leftmost-deepest | random:SEED")
+    play = command(actions, "play", cmd_hydra_play, "seed",
+                   summary="play the game")
+    play.add_argument("--hercules", default="interactive",
+                      help="interactive | leftmost-deepest | random:SEED")
+    play.add_argument("--evolutions", type=int, default=0,
+                      help="evolutions per round for scripted strategies")
+    for p in (rank, compile_, play):
+        p.add_argument("--tree", required=True,
+                       help='nested parentheses, e.g. "((()))"')
     return parser
 
 
@@ -475,13 +458,13 @@ def main(argv=None) -> int:
     try:
         _validate(args)
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (certificates.CertificateError,
+    except (CliError,
+            certificates.CertificateError,
             exploration.ResourceCapExceeded,
             exploration.StateSpaceNotClosed,
+            hydra.HydraError,
             scheduling.SchedulerAbort,
+            transforms.TransformError,
             TooManyDigits) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -56,6 +56,8 @@ class HydraState:
     def node(self, path: tuple) -> Tree:
         t = self.tree
         for i in path:
+            if not 0 <= i < len(t.children):
+                raise HydraError(f"no child {i}")
             t = t.children[i]
         return t
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, Optional
 
@@ -254,22 +255,26 @@ def bound(inner: Scheduler, k: int) -> BoundedScheduler:
     return BoundedScheduler(inner, k)
 
 
+SCHEDULER_SPEC = re.compile(r"(bounded:-?[0-9]+:)*"
+                            r"(const:Ln|const:Rn|alt|random(:-?[0-9]+)?"
+                            r"|interactive)")
+
+
 def parse_scheduler_spec(spec: str, seed: int = 0) -> Scheduler:
     """Build a scheduler from a CLI spec like const:Ln, random:7, alt,
-    bounded:2:const:Ln, or interactive."""
-    if spec.startswith("const:"):
-        name = spec.split(":", 1)[1]
-        if name not in ("Ln", "Rn"):
-            raise ValueError(f"unknown direction {name!r}")
-        return constant(Direction(name))
-    if spec.startswith("random"):
-        parts = spec.split(":")
-        return RandomScheduler(int(parts[1]) if len(parts) > 1 else seed)
-    if spec == "alt":
-        return from_function(lambda h: Ln if len(h) % 2 == 0 else Rn)
+    bounded:2:const:Ln, or interactive; plain random uses `seed`."""
+    if not SCHEDULER_SPEC.fullmatch(spec):
+        raise ValueError(f"unknown scheduler spec {spec!r} (expected "
+                         f"const:Ln | const:Rn | alt | random[:SEED] | "
+                         f"bounded:K:SPEC | interactive)")
     if spec.startswith("bounded:"):
         _, k, rest = spec.split(":", 2)
         return bound(parse_scheduler_spec(rest, seed), int(k))
-    if spec == "interactive":
-        return interactive()
-    raise ValueError(f"unknown scheduler spec {spec!r}")
+    if spec.startswith("const:"):
+        return constant(Direction(spec[len("const:"):]))
+    if spec.startswith("random"):
+        _, _, given = spec.partition(":")
+        return RandomScheduler(int(given) if given else seed)
+    if spec == "alt":
+        return from_function(lambda h: Ln if len(h) % 2 == 0 else Rn)
+    return interactive()

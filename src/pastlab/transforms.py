@@ -116,10 +116,18 @@ class TreeSpec:
         return {"rule": self.rule}
 
     @staticmethod
-    def from_json(data: dict) -> "TreeSpec":
-        if "explicit" in data:
-            return explicit_tree(tuple(tuple(s) for s in data["explicit"]))
-        return rule_tree(data["rule"])
+    def from_json(data) -> "TreeSpec":
+        if isinstance(data, dict) and "explicit" in data:
+            seqs = data["explicit"]
+            if isinstance(seqs, list) and all(
+                    isinstance(s, list) and all(type(x) is int for x in s)
+                    for s in seqs):
+                return explicit_tree(seqs)
+        elif isinstance(data, dict) and isinstance(data.get("rule"), str):
+            return rule_tree(data["rule"])
+        raise TransformError('a JSON tree spec is an object with an '
+                             '"explicit" list of integer lists or a "rule" '
+                             'string')
 
 
 def explicit_tree(sequences) -> TreeSpec:
@@ -459,7 +467,12 @@ def to_knievel(program: Program, horizon_policy="double",
             f"frontier-encoding width exceeded: {width} slots needed, "
             f"{max_width} allowed")
     source_vars = _source_vars(program)
-    initial_bound = 1 if horizon_policy == "double" else int(horizon_policy)
+    try:
+        initial_bound = (1 if horizon_policy == "double"
+                         else int(horizon_policy))
+    except (TypeError, ValueError) as exc:
+        raise TransformError(f"horizon must be 'double' or an integer, "
+                             f"not {horizon_policy!r}") from exc
 
     def slot_step(slot: int) -> Program:
         cases = []

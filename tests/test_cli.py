@@ -1,3 +1,4 @@
+import argparse
 import json
 import pathlib
 import time
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pastlab import exploration
-from pastlab.cli import main
+from pastlab.cli import _build_parser, main
 from pastlab.exploration import StateGraph
 from pastlab.certificates import RsmCert, in_loop_rsm_from_bound
 from pastlab.syntax import parse
@@ -696,3 +697,178 @@ def test_bad_hercules_strategy_exits_2(capsys, action, spec):
     assert captured.err == (f"error: unknown hercules strategy {spec!r} "
                             f"(expected interactive, leftmost-deepest or "
                             f"random:SEED)\n")
+
+
+# ---------------------------------------------------------------------------
+# Each command accepts exactly the options it reads
+# ---------------------------------------------------------------------------
+
+WALK = {"--scheduler", "--depth", "--seed", "--node-cap"}
+OUTPUT = {"-o", "--output"}
+OPTION_TABLE = {
+    ("parse",): {"--format"},
+    ("run",): WALK | {"--format", "--decimal"},
+    ("tree",): WALK | {"--format", "--decimal"} | OUTPUT,
+    ("runtime",): WALK | {"--decimal"},
+    ("ast-check",): {"--delta", "--n", "--node-cap"},
+    ("graph",): {"--bound"} | OUTPUT,
+    ("check-rsm",): {"--decimal"},
+    ("check-rule",): set(),
+    ("knievel",): {"--transform", "--horizon"} | OUTPUT,
+    ("emit",): {"--tree"} | OUTPUT,
+    ("hydra", "rank"): {"--tree"},
+    ("hydra", "compile"): {"--tree", "--hercules"} | OUTPUT,
+    ("hydra", "play"): {"--tree", "--hercules", "--evolutions", "--seed"},
+}
+
+
+def _subcommands(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def test_option_table_names_every_command():
+    paths = set()
+    top = _subcommands(_build_parser())
+    for name, parser in top.items():
+        actions = _subcommands(parser)
+        paths |= {(name, a) for a in actions} if actions else {(name,)}
+    assert paths == set(OPTION_TABLE)
+
+
+@pytest.mark.parametrize("path", list(OPTION_TABLE),
+                         ids=" ".join)
+def test_command_declares_only_the_options_it_reads(path):
+    parser = _build_parser()
+    for name in path:
+        parser = _subcommands(parser)[name]
+    declared = {flag for action in parser._actions
+                for flag in action.option_strings
+                if not isinstance(action, argparse._HelpAction)}
+    assert declared == OPTION_TABLE[path]
+
+
+VALUES = {"--seed": ["1"], "--node-cap": ["5"], "--format": ["json"],
+          "--decimal": [], "--hercules": ["leftmost-deepest"],
+          "--evolutions": ["1"], "-o": ["out.txt"]}
+# Every (command, option) pair the parser accepted without reading it.
+REFUSED = [
+    (["parse", "f.pgcl"], ["--seed", "--node-cap", "--decimal"]),
+    (["runtime", "f.pgcl"], ["--format"]),
+    (["ast-check", "f.pgcl", "--delta", "1/2", "--n", "4"],
+     ["--seed", "--format", "--decimal"]),
+    (["graph", "f.pgcl"], ["--seed", "--node-cap", "--format", "--decimal"]),
+    (["check-rsm", "g.json", "c.json"], ["--seed", "--node-cap", "--format"]),
+    (["check-rule", "g.json", "c.json"],
+     ["--seed", "--node-cap", "--format", "--decimal"]),
+    (["knievel", "f.pgcl"], ["--seed", "--node-cap", "--format", "--decimal"]),
+    (["emit", "reduction", "--tree", "full"],
+     ["--seed", "--node-cap", "--format", "--decimal"]),
+    (["hydra", "rank", "--tree", "(())"],
+     ["--seed", "--node-cap", "--format", "--decimal", "--hercules",
+      "--evolutions", "-o"]),
+    (["hydra", "compile", "--tree", "(())"],
+     ["--seed", "--node-cap", "--format", "--decimal", "--evolutions"]),
+    (["hydra", "play", "--tree", "(())"],
+     ["--node-cap", "--format", "--decimal", "-o"]),
+]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(base + [option] + VALUES[option],
+                 id=" ".join(base[:2] if base[0] == "hydra" else base[:1])
+                 + " " + option)
+    for base, options in REFUSED for option in options])
+def test_unread_option_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_hydra_compile_refuses_interactive(capsys):
+    assert main(["hydra", "compile", "--tree", "((()))",
+                 "--hercules", "interactive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown strategy 'interactive'\n"
+
+
+@pytest.mark.parametrize("action", ["rank", "compile", "play"])
+def test_malformed_hydra_exits_2(capsys, action):
+    assert main(["hydra", action, "--tree", "(("]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected ')' at offset 2 in '(('\n"
+
+
+def test_hydra_play_move_past_a_leaf_is_retried(monkeypatch, capsys):
+    # 0.0 runs past the head 0 and is refused; then both heads are chopped.
+    inputs = iter(["0.0", "0", "0", "0", "0", "0"])
+    monkeypatch.setattr("builtins.input", lambda *args: next(inputs))
+    assert main(["hydra", "play", "--tree", "(()())"]) == 0
+    out = capsys.readouterr().out
+    assert "illegal move: no child 0" in out
+    assert out.endswith("the hydra is dead: Hercules wins\n")
+
+
+# ---------------------------------------------------------------------------
+# Hostile option values
+# ---------------------------------------------------------------------------
+
+TREE_SPEC_SHAPE = ('a JSON tree spec is an object with an "explicit" list of '
+                   'integer lists or a "rule" string')
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["knievel", "SIMPLE", "--transform", "--horizon", "abc"],
+                 "horizon must be 'double' or an integer, not 'abc'",
+                 id="knievel-horizon"),
+    pytest.param(["emit", "reduction", "--tree", "{}"],
+                 f"bad tree spec '{{}}': {TREE_SPEC_SHAPE}", id="emit-empty"),
+    pytest.param(["emit", "reduction", "--tree", '{"explicit": 5}'],
+                 f"bad tree spec '{{\"explicit\": 5}}': {TREE_SPEC_SHAPE}",
+                 id="emit-explicit-not-a-list"),
+    pytest.param(["emit", "reduction", "--tree", '{"rule": 3}'],
+                 f"bad tree spec '{{\"rule\": 3}}': {TREE_SPEC_SHAPE}",
+                 id="emit-rule-not-a-string"),
+])
+def test_hostile_option_value_exits_2(tmp_path, capsys, argv, message):
+    simple = tmp_path / "simple.pgcl"
+    simple.write_text("x := 1\n")
+    argv = [str(simple) if a == "SIMPLE" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+SCHEDULER_FORMS = ("const:Ln | const:Rn | alt | random[:SEED] | "
+                   "bounded:K:SPEC | interactive")
+
+
+@pytest.mark.parametrize("spec, message", [
+    (spec, f"unknown scheduler spec {spec!r} (expected {SCHEDULER_FORMS})")
+    for spec in ["randomfoo", "bounded:2", "bounded:x:const:Ln",
+                 "random:abc", "random:", "const:Xn", "bounded:2:foo"]
+] + [("bounded:0:const:Ln", "k must be >= 1")])
+def test_malformed_scheduler_spec_exits_2(geometric_file, capsys, spec,
+                                          message):
+    assert main(["run", geometric_file, "--scheduler", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_tree_text_summary_goes_to_output_file(geometric_file, tmp_path,
+                                               capsys):
+    assert main(["tree", geometric_file, "--depth", "3"]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "tree.txt"
+    assert main(["tree", geometric_file, "--depth", "3",
+                 "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+    assert printed.startswith("nodes: ")
