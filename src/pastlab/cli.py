@@ -54,6 +54,18 @@ def _write_output(text: str, path):
             handle.write(text if text.endswith("\n") else text + "\n")
 
 
+def _write_json(data, path):
+    """Stream data as indented JSON and a newline to path, or to stdout,
+    without building the whole text first."""
+    if path is None or path == "-":
+        json.dump(data, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+    else:
+        with open(path, "w") as handle:
+            json.dump(data, handle, indent=2)
+            handle.write("\n")
+
+
 def _node_cap(args) -> int:
     if args.node_cap is not None:
         return args.node_cap
@@ -125,7 +137,7 @@ def cmd_tree(args) -> int:
     tree = exploration.build_tree(program, _scheduler(args), args.depth,
                                   node_cap=_node_cap(args))
     if args.format == "json":
-        _write_output(json.dumps(tree.to_json(), indent=2), args.output)
+        _write_json(tree.to_json(), args.output)
     else:
         _write_output(f"nodes: {tree.node_count()}\n"
                       f"terminal mass: {_fmt(tree.terminal_mass(), args)}\n"
@@ -169,7 +181,7 @@ def cmd_ast_check(args) -> int:
 def cmd_graph(args) -> int:
     program = _read_program(args.file)
     graph = exploration.collapse_to_state_graph(program, args.bound)
-    _write_output(json.dumps(graph.to_json(), indent=2), args.output)
+    _write_json(graph.to_json(), args.output)
     return 0
 
 
@@ -371,7 +383,7 @@ def command(parent, name, fn, *options, summary):
     for option in options:
         flags, spec = OPTIONS[option]
         p.add_argument(*flags, **spec)
-    p.set_defaults(fn=fn)
+    p.set_defaults(fn=fn, parser=p)
     return p
 
 
@@ -454,7 +466,9 @@ def _validate(args):
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # reported with the usage of the command that refused them
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         _validate(args)
         return args.fn(args)

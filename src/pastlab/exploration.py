@@ -24,7 +24,7 @@ from typing import Callable, List, Optional
 from .semantics import (Direction, ExecState, Exit, ProgramState, classify,
                         head_redex, initial_state, is_terminal, step,
                         step_all, Kind)
-from .syntax import Program, print_rational
+from .syntax import NondetChoice, Program, print_rational, subterms
 from .scheduling import Scheduler, iter_partial_schedules  # tracer patches it
 
 ZERO = Fraction(0)
@@ -41,18 +41,19 @@ class StateSpaceNotClosed(Exception):
     """The reachable program-state space did not close within the bound."""
 
 
-def _layers(root, depth, node_cap, expand, visit, key=None):
+def _layers(root, depth, node_cap, expand, visit, merge=False):
     """Breadth-first walk of layers 0..depth of the tree below `root`.
 
     A layer is a list of (item, paths) entries, where paths counts the tree
     paths the entry stands for.  visit(d, layer) records layer d and returns
     the entries to expand; expand(item) returns the children of item, each
-    of which joins the next layer with its parent's path count.  Every
-    generated path, and the root, counts against node_cap.  No layer past
+    of which joins the next layer with its parent's path count.  The root
+    and every generated entry count against node_cap.  No layer past
     `depth` is generated, and the walk stops once nothing is left to expand.
 
-    With a key, items are ExecStates and each generated layer is merged by
-    key(state) (see _merged); without one every entry is a single path.
+    With merge, items are (ExecState, scheduler memory) pairs and each
+    generated layer is merged as it is built (see _MergedLayer), so an entry
+    counts when its key first appears; without, every entry is one path.
     """
     layer = [(root, 1)]
     count = 1
@@ -60,50 +61,103 @@ def _layers(root, depth, node_cap, expand, visit, key=None):
         frontier = visit(d, layer)
         if d == depth or not frontier:
             return
+        merged = _MergedLayer() if merge else None
         layer = []
         for item, paths in frontier:
-            children = expand(item)
-            count += len(children) * paths
-            if count > node_cap:
-                raise ResourceCapExceeded(
-                    f"exploration exceeds {node_cap} states")
-            for child in children:
-                layer.append((child, paths))
-        if key is not None:
-            layer = _merged(layer, key)
-
-
-def _merged(layer, key):
-    """One entry per distinct key(state) of a layer of (ExecState, paths)
-    entries, carrying the summed prob and path count and an empty history.
-
-    Only a scheduler that never reads the history may have its layers
-    merged.  A layer of one entry is not keyed, since hashing a program
-    walks its whole term; nor is a layer whose program is too deep to hash,
-    which then stays one entry per path.
-    """
-    groups = [(state, state.prob, paths) for state, paths in layer]
-    if len(groups) > 1:
-        by_key = {}
-        try:
-            for state, prob, paths in groups:
-                k = key(state)
-                same = by_key.get(k)
-                if same is None:
-                    by_key[k] = [state, prob, paths]
+            for child in expand(item):
+                if merged is None:
+                    layer.append((child, paths))
+                    count += 1
                 else:
-                    same[1] += prob
-                    same[2] += paths
-            groups = by_key.values()
+                    count += merged.add(child, paths)
+                if count > node_cap:
+                    raise ResourceCapExceeded(
+                        f"exploration exceeds {node_cap} states")
+        if merged is not None:
+            layer = merged.entries()
+
+
+class _MergedLayer:
+    """A layer of (ExecState, memory) items merged by (program, valuation,
+    memory) as they arrive: one entry per key, carrying the summed prob and
+    path count and an empty history.
+
+    A lone entry is not keyed, since hashing a program walks its whole term;
+    nor is a state whose program is too deep to hash, which stays an entry
+    of its own.
+    """
+
+    def __init__(self):
+        self._groups = []  # [state, memory, prob, paths]
+        self._by_key = {}
+
+    def _keyed(self, group):
+        """The group already under group's key, after filing group there
+        if the key is new; None when the program is too deep to hash."""
+        key = (group[0].program, group[0].valuation, group[1])
+        try:
+            return self._by_key.setdefault(key, group)
         except RecursionError:
-            pass
-    return [(ExecState(state.program, state.valuation, prob, ()), paths)
-            for state, prob, paths in groups]
+            return None
+
+    def add(self, item, paths) -> int:
+        """Merge one item in; 1 if it made a new entry, else 0."""
+        state, memory = item
+        group = [state, memory, state.prob, paths]
+        if self._groups:
+            if not self._by_key:  # the lone entry so far is keyed now
+                self._keyed(self._groups[0])
+            same = self._keyed(group)
+            if same is not None and same is not group:
+                same[2] += state.prob
+                same[3] += paths
+                return 0
+        self._groups.append(group)
+        return 1
+
+    def entries(self):
+        return [((ExecState(state.program, state.valuation, prob, ()), memory),
+                 paths) for state, memory, prob, paths in self._groups]
+
+
+def _stepper(scheduler):
+    """step for walks whose items carry the scheduler's memory:
+    (state, memory) -> [(Successor, memory once its direction is taken)].
+    Without a scheduler both directions of a choice are successors and
+    there is no memory."""
+    if scheduler is None:
+        return lambda state, memory: [(succ, None)
+                                      for succ in step(state, None)]
+
+    def successors(state, memory):
+        out = []
+        for succ in step(state, scheduler.at(memory)):
+            after = memory
+            if len(succ.state.history) > len(state.history):
+                site = head_redex(state.program) \
+                    if succ.kind is Kind.NONDET else None
+                after = scheduler.advance(memory, succ.state.history[-1],
+                                          site)
+            out.append((succ, after))
+        return out
+    return successors
 
 
 def _successor_states(scheduler):
-    """expand for walks whose layers hold ExecStates."""
-    return lambda state: [succ.state for succ in step(state, scheduler)]
+    """expand for walks whose items are (ExecState, memory) pairs."""
+    successors = _stepper(scheduler)
+    return lambda item: [(succ.state, memory)
+                         for succ, memory in successors(*item)]
+
+
+def _start(scheduler):
+    return None if scheduler is None else scheduler.start()
+
+
+def _asks(program: Program) -> bool:
+    """True iff the program holds a nondeterministic choice, which is the
+    only place a step consults the scheduler."""
+    return any(isinstance(term, NondetChoice) for term in subterms(program))
 
 
 # ---------------------------------------------------------------------------
@@ -181,18 +235,23 @@ def build_tree(program: Program, scheduler: Scheduler, depth: int,
     """Breadth-first execution tree from (program, zero valuation, 1, empty
     history) down to the depth cap.  Terminal states are leaves."""
     levels = []
+    successors = _stepper(scheduler)
 
     def visit(d, layer):
-        levels.append([node for node, _ in layer])
-        return [entry for entry in layer if not is_terminal(entry[0].state)]
+        levels.append([node for (node, _), _ in layer])
+        return [entry for entry in layer
+                if not is_terminal(entry[0][0].state)]
 
-    def expand(node):
+    def expand(item):
+        node, memory = item
+        stepped = successors(node.state, memory)
         node.children = [(succ.kind, TreeNode(succ.state, node.depth + 1))
-                         for succ in step(node.state, scheduler)]
-        return [child for _, child in node.children]
+                         for succ, _ in stepped]
+        return [(child, after)
+                for (_, child), (_, after) in zip(node.children, stepped)]
 
     root = TreeNode(initial_state(program), 0)
-    _layers(root, depth, node_cap, expand, visit)
+    _layers((root, _start(scheduler)), depth, node_cap, expand, visit)
     return ExecTree(root, depth, levels)
 
 
@@ -207,11 +266,12 @@ class MassProfile:
     hit_mass[d] is the probability mass first absorbed at depth d (reaching a
     terminal state, or the target for reachability runs).  dead_mass is mass
     that terminated without ever hitting the target and so never will.
-    frontier holds the live states at the final explored depth: one entry
-    per path, or, under a memoryless scheduler, one per distinct program
-    state with the paths' probabilities summed and an empty history.
-    frontier_paths[i] is the number of execution-tree paths frontier[i]
-    stands for.
+    frontier holds the live states at the final explored depth: one per
+    distinct (program state, scheduler memory), with the probabilities of
+    the paths reaching it summed and an empty history.  frontier_paths[i]
+    is the number of execution-tree paths frontier[i] stands for, and
+    frontier_memory[i] the scheduler's memory there (None when the program
+    never asks the scheduler).
     """
 
     depth: int
@@ -219,6 +279,7 @@ class MassProfile:
     dead_mass: Fraction
     frontier: List[ExecState]
     frontier_paths: List[int]
+    frontier_memory: list
 
     def cumulative_hit(self, k: int) -> Fraction:
         return sum(self.hit_mass[:k + 1], ZERO)
@@ -238,7 +299,7 @@ def run_masses(program: Program, scheduler: Scheduler, depth: int,
         nonlocal dead, frontier
         frontier = []
         for entry in layer:
-            st = entry[0]
+            st = entry[0][0]
             if target is not None and target(st.program_state()):
                 hit[d] += st.prob
             elif not is_terminal(st):
@@ -249,13 +310,14 @@ def run_masses(program: Program, scheduler: Scheduler, depth: int,
                 dead += st.prob
         return frontier
 
-    # A memoryless scheduler gives equal program states equal futures.
-    key = (lambda st: (st.program, st.valuation)) \
-        if scheduler.memoryless else None
-    _layers(initial_state(program), depth, node_cap,
-            _successor_states(scheduler), visit, key)
-    return MassProfile(depth, hit, dead, [st for st, _ in frontier],
-                       [paths for _, paths in frontier])
+    if not _asks(program):
+        scheduler = None  # never consulted, so nothing to remember
+    _layers((initial_state(program), _start(scheduler)), depth, node_cap,
+            _successor_states(scheduler), visit, merge=True)
+    return MassProfile(depth, hit, dead,
+                       [st for (st, _), _ in frontier],
+                       [paths for _, paths in frontier],
+                       [memory for (_, memory), _ in frontier])
 
 
 def termination_prob_upto(program: Program, scheduler: Scheduler, k: int,
@@ -317,7 +379,7 @@ def collect_nondet_queries(program: Program, depth: int,
     def visit(d, layer):
         live = []
         for entry in layer:
-            st = entry[0]
+            st = entry[0][0]
             if not is_terminal(st):
                 if classify(st.program_state()) == "nondet":
                     queries.add(st.history)
@@ -326,7 +388,7 @@ def collect_nondet_queries(program: Program, depth: int,
 
     # The query of a layer-d state is made by step d + 1: layers 0..depth-1.
     # With no scheduler, step expands both directions of a choice.
-    _layers(initial_state(program), depth - 1, node_cap,
+    _layers((initial_state(program), None), depth - 1, node_cap,
             _successor_states(None), visit)
     return queries
 
@@ -364,12 +426,12 @@ def artery_widths(program: Program, scheduler: Scheduler, depth: int,
     widths = []
 
     def visit(d, layer):
-        live = [entry for entry in layer if not is_terminal(entry[0])]
+        live = [entry for entry in layer if not is_terminal(entry[0][0])]
         widths.append(sum(not isinstance(head_redex(st.program), Exit)
-                          for st, _ in live))
+                          for (st, _), _ in live))
         return live
 
-    _layers(initial_state(program), depth, node_cap,
+    _layers((initial_state(program), _start(scheduler)), depth, node_cap,
             _successor_states(scheduler), visit)
     return widths
 

@@ -1,13 +1,18 @@
 """Schedulers: resolvers for nondeterministic choice.
 
-A scheduler answers Ln or Rn for any decision history (the sequence of
-directions taken so far).  Replayable schedulers give the same answer for
-the same history, which exploration relies on when it revisits a state.
+A scheduler answers Ln or Rn from its memory of the decision history (the
+sequence of directions taken so far).  The memory is a hashable summary of
+the history that fixes every later decision: start() is the memory of the
+empty history and advance() the memory once one more direction is
+appended.  Paths that reach the same program state with the same memory
+have the same future, so exploration may merge them: it walks the product
+of the program with a finite-memory scheduler.  By default the memory is
+the history itself, which merges nothing.
 
-The decide() method also receives the nondeterministic choice node being
-resolved ("site"); plain schedulers ignore it, the k-bounded wrapper uses
-it to track how often each direction was ignored at the same syntactic
-choice point.
+decide() also receives the nondeterministic choice node being resolved
+("site"); plain schedulers ignore it, the k-bounded wrapper uses it to
+track how often each direction was ignored at the same syntactic choice
+point.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, Optional
+from typing import Callable, Dict, Iterable, Iterator
 
 from .semantics import Direction
 
@@ -33,26 +38,67 @@ class EnumerationTooLarge(Exception):
 
 
 class Scheduler:
-    # True when decide() never reads the history, so that two paths reaching
-    # the same program state have the same future and exploration may merge
-    # them.
-    memoryless = False
+    def start(self):
+        """The memory of the empty history."""
+        return ()
+
+    def advance(self, memory, direction: Direction, site=None):
+        """The memory once `direction` is appended to a history remembered
+        as `memory`; site is the choice node an Ln or Rn resolved."""
+        return memory + (direction,)
+
+    def decide(self, memory, site=None) -> Direction:
+        """The answer at choice node `site` after a history remembered as
+        `memory`."""
+        raise NotImplementedError
+
+    def at(self, memory) -> "Answers":
+        return Answers(self, memory)
+
+
+class Answers:
+    """A scheduler's answers at one memory, in the form step() consults:
+    decide(history, site), which does not read the history."""
+
+    __slots__ = ("scheduler", "memory")
+
+    def __init__(self, scheduler: Scheduler, memory):
+        self.scheduler = scheduler
+        self.memory = memory
 
     def decide(self, history, site=None) -> Direction:
-        raise NotImplementedError
+        return self.scheduler.decide(self.memory, site)
 
 
 class ConstantScheduler(Scheduler):
-    memoryless = True
-
     def __init__(self, direction: Direction):
         self.direction = direction
 
-    def decide(self, history, site=None):
+    def advance(self, memory, direction, site=None):
+        return ()
+
+    def decide(self, memory, site=None):
         return self.direction
 
     def __repr__(self):
         return f"constant({self.direction.value})"
+
+
+class AlternatingScheduler(Scheduler):
+    """Ln after an even number of directions, Rn after an odd number;
+    probabilistic directions count too, so it remembers the parity."""
+
+    def start(self):
+        return 0
+
+    def advance(self, memory, direction, site=None):
+        return 1 - memory
+
+    def decide(self, memory, site=None):
+        return Ln if memory == 0 else Rn
+
+    def __repr__(self):
+        return "alt"
 
 
 class FunctionScheduler(Scheduler):
@@ -217,9 +263,10 @@ class BoundedScheduler(Scheduler):
 
     A choice site is the nondeterministic choice node itself; structurally
     equal occurrences (for example the same choice on successive loop
-    iterations) count as the same site.  Past answers are logged per history,
-    and the consecutive run is read off the logged queries whose histories
-    are prefixes of the current one, i.e. the queries on this branch.
+    iterations) count as the same site.  The memory is (runs, inner
+    memory): runs[i] is (last answer, run length capped at k) at the i-th
+    site this scheduler has seen, or None while the branch has not queried
+    it; the inner memory follows every direction of the branch.
     """
 
     def __init__(self, inner: Scheduler, k: int):
@@ -227,28 +274,31 @@ class BoundedScheduler(Scheduler):
             raise ValueError("k must be >= 1")
         self.inner = inner
         self.k = k
-        self._log: Dict[tuple, tuple] = {}  # history -> (site, answer)
+        self._sites: Dict[object, int] = {}  # site -> its index in runs
 
-    def decide(self, history, site=None):
-        history = tuple(history)
-        if history in self._log:
-            return self._log[history][1]
-        run_dir: Optional[Direction] = None
-        run_len = 0
-        for end in range(len(history)):
-            logged = self._log.get(history[:end])
-            if logged is None or logged[0] != site:
-                continue
-            answer = logged[1]
-            if answer == run_dir:
-                run_len += 1
-            else:
-                run_dir, run_len = answer, 1
-        choice = self.inner.decide(history, site)
-        if run_dir is not None and run_len >= self.k and choice == run_dir:
-            choice = Rn if run_dir == Ln else Ln
-        self._log[history] = (site, choice)
+    def start(self):
+        return (), self.inner.start()
+
+    def decide(self, memory, site=None):
+        runs, inner = memory
+        choice = self.inner.decide(inner, site)
+        i = self._sites.get(site)
+        if i is not None and i < len(runs) and runs[i] == (choice, self.k):
+            choice = Rn if choice == Ln else Ln
         return choice
+
+    def advance(self, memory, direction, site=None):
+        runs, inner = memory
+        if direction in (Ln, Rn):
+            # The run counts this scheduler's own answers, which an outer
+            # bound may have overridden.
+            answer = self.decide(memory, site)
+            i = self._sites.setdefault(site, len(self._sites))
+            last = runs[i] if i < len(runs) else None
+            length = last[1] + 1 if last and last[0] == answer else 1
+            runs = (runs[:i] + (None,) * (i - len(runs))
+                    + ((answer, min(length, self.k)),) + runs[i + 1:])
+        return runs, self.inner.advance(inner, direction, site)
 
 
 def bound(inner: Scheduler, k: int) -> BoundedScheduler:
@@ -276,5 +326,5 @@ def parse_scheduler_spec(spec: str, seed: int = 0) -> Scheduler:
         _, _, given = spec.partition(":")
         return RandomScheduler(int(given) if given else seed)
     if spec == "alt":
-        return from_function(lambda h: Ln if len(h) % 2 == 0 else Rn)
+        return AlternatingScheduler()
     return interactive()

@@ -3,7 +3,9 @@
 An execution state is (program, valuation, probability, history).  The
 probability is the exact chance of reaching this state from the initial one;
 the history records the direction taken at every probabilistic and
-nondeterministic choice, and is what schedulers are consulted with.
+nondeterministic choice.  step() consults a scheduler with it; exploration
+passes the scheduler's answers at its memory of the history instead (see
+scheduling).
 
 Step conventions:
   * every inference rule application is exactly one step, including the

@@ -10,7 +10,8 @@ from pastlab import exploration
 from pastlab.cli import _build_parser, main
 from pastlab.exploration import StateGraph
 from pastlab.certificates import RsmCert, in_loop_rsm_from_bound
-from pastlab.syntax import parse
+from pastlab.scheduling import parse_scheduler_spec
+from pastlab.syntax import parse, print_rational
 
 GEOMETRIC = "while (x = 0) { { skip } <1/2> { exit } }\n"
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
@@ -295,7 +296,9 @@ def test_run_random_walk_output_pinned(capsys):
 
 def test_memoryless_run_merges_equal_states(monkeypatch, capsys):
     # Per path this run makes 28831 steps; merged, it makes one per
-    # distinct live state per depth, 319 over depths 0..59.
+    # distinct live state per depth, 319 over depths 0..59.  random_walk
+    # has no nondeterministic choice, so random:3 is never asked and its
+    # run merges and prints alike.
     calls = 0
     real_step = exploration.step
 
@@ -305,16 +308,50 @@ def test_memoryless_run_merges_equal_states(monkeypatch, capsys):
         return real_step(state, scheduler)
 
     monkeypatch.setattr(exploration, "step", counting_step)
-    assert main(["run", RANDOM_WALK, "--depth", "60"]) == 0
-    assert "(6864 states)" in capsys.readouterr().out
-    assert calls < 400
+    outputs = []
+    for scheduler in ("const:Ln", "random:3"):
+        calls = 0
+        assert main(["run", RANDOM_WALK, "--depth", "60",
+                     "--scheduler", scheduler]) == 0
+        outputs.append(capsys.readouterr().out)
+        assert calls < 400
+    assert "(6864 states)" in outputs[0]
+    assert outputs[1] == outputs[0]
+
+
+def test_deep_random_walk_run_counts_distinct_states(capsys):
+    # Merged runs count distinct entries against the node cap, not paths,
+    # so depth 200 (over 10^14 frontier paths) fits the default cap.
+    assert main(["run", RANDOM_WALK, "--depth", "200"]) == 0
+    # Reference: the walk's Markov chain over loop iterations.  x := 1
+    # takes two steps (assignment, sequence discharge), each iteration four
+    # (guard, coin, assignment, discharge), and the guard step that finds
+    # x = 0 terminates.  Depth 200 thus holds 49 whole iterations and the
+    # guard and coin steps of the 50th, which split each live path in two.
+    mass, paths, stopped = {1: Fraction(1)}, {1: 1}, Fraction(0)
+    for _ in range(49):
+        next_mass, next_paths = {}, {}
+        for x in mass:
+            for y in (x + 1, x - 1):
+                next_mass[y] = next_mass.get(y, 0) + mass[x] / 2
+                next_paths[y] = next_paths.get(y, 0) + paths[x]
+        stopped += next_mass.pop(0, 0)
+        next_paths.pop(0, None)
+        mass, paths = next_mass, next_paths
+    live = sum(mass.values())
+    assert stopped + live == 1
+    assert capsys.readouterr().out == (
+        f"depth: 200\nterminal mass: {print_rational(stopped)}\n"
+        f"frontier mass: {print_rational(live)} "
+        f"({2 * sum(paths.values())} states)\n")
 
 
 @pytest.mark.parametrize("scheduler", ["const:Ln", "alt"])
 def test_run_json_frontier_paths(tmp_path, capsys, scheduler):
+    source = ("x := 3; while (x > 0) { { x := x - 1 } [] "
+              "{ skip }; { x := x + 1 } <1/3> { x := x - 1 } }\n")
     choice = tmp_path / "choice.pgcl"
-    choice.write_text("x := 3; while (x > 0) { { x := x - 1 } [] "
-                      "{ skip }; { x := x + 1 } <1/3> { x := x - 1 } }\n")
+    choice.write_text(source)
     common = ["run", str(choice), "--depth", "40", "--scheduler", scheduler]
     assert main(common) == 0
     text = capsys.readouterr().out
@@ -325,13 +362,13 @@ def test_run_json_frontier_paths(tmp_path, capsys, scheduler):
     assert f"({paths} states)" in text
     assert sum(Fraction(s["prob"]) for s in states) == \
         Fraction(data["frontier_mass"])
-    if scheduler == "alt":
-        assert all(s["paths"] == 1 and s["history"] for s in states)
-    else:
-        assert paths > len(states)
-        assert all(s["history"] == "" for s in states)
-        assert len({(s["program"], tuple(sorted(s["valuation"].items())))
-                    for s in states}) == len(states)
+    # Both schedulers have finite memory, so their runs merge paths, and
+    # the merged frontier carries the per-path tree's paths and mass.
+    tree = exploration.build_tree(parse(source),
+                                  parse_scheduler_spec(scheduler), 40)
+    assert paths == len(tree.frontier) > len(states)
+    assert Fraction(data["frontier_mass"]) == tree.frontier_mass()
+    assert all(s["history"] == "" for s in states)
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +822,23 @@ def test_unread_option_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    # The refusing command's own parser reports it.
+    name = " ".join(argv[:2] if argv[0] == "hydra" else argv[:1])
+    assert err.startswith(f"usage: pastlab {name} ")
+
+
+def test_unread_option_names_the_command_and_the_arguments(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["runtime", str(PROGRAMS / "geometric.pgcl"),
+              "--format", "json"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: pastlab runtime [-h] ")
+    assert captured.err.endswith("\npastlab runtime: error: unrecognized "
+                                 "arguments: --format json\n")
 
 
 def test_hydra_compile_refuses_interactive(capsys):

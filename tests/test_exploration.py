@@ -12,10 +12,11 @@ from pastlab.exploration import (ResourceCapExceeded, StateGraph,
                                  exp_reach_runtime_bounds, exp_runtime_bounds,
                                  run_masses, termination_prob_upto)
 from pastlab.scheduling import (RandomScheduler, constant,
-                                iter_partial_schedules, standard_extension,
-                                Ln, Rn)
-from pastlab.semantics import initial_state, is_terminal, step
-from pastlab.syntax import parse
+                                iter_partial_schedules, parse_scheduler_spec,
+                                standard_extension, Ln, Rn)
+from pastlab.semantics import (Kind, head_redex, initial_state, is_terminal,
+                               step)
+from pastlab.syntax import NondetChoice, parse, subterms
 from pastlab.transforms import emit_inc
 from conftest import (ballot_walk_oracle, geometric_series_limit,
                       random_active_program, random_program)
@@ -25,6 +26,13 @@ RANDOM_WALK = parse("x := 1; while (x != 0) "
                     "{ { x := x + 1 } <1/2> { x := x - 1 } }")
 GEOMETRIC = parse("while (x = 0) { { skip } <1/2> { exit } }")
 SPIN = parse("while (true) { skip }")
+# Both coin branches take three steps to the same state when the choice
+# answers Ln, one of them asking the scheduler and one not: equal states
+# with different scheduler memories under alt and bounded schedulers.
+MEMORY_LOOP = parse("x := 3; while (x > 0) { "
+                    "{ { x := x + 1 } [] { x := x - 1 } } <1/2> "
+                    "{ if (true) { x := x + 1 } else { skip } }; "
+                    "{ x := x - 2 } <1/3> { skip } }")
 CHOICE_LOOP = parse("x := 0; y := 0; z := 1; while (x + y = 0) "
                     "{ { y := 0 } [] { y := 1 }; "
                     "{ x := 0 } <1/2> { x := 1 }; z := 4 * z }")
@@ -109,17 +117,25 @@ def test_no_unread_layer_counts_against_the_cap():
     assert collect_nondet_queries(CHOICE_LOOP, 12, node_cap=18) == {()}
 
 
-def per_path_reference(tree, target=None):
-    """hit_mass, dead_mass, live mass per program state at the depth cap and
-    the number of live paths there, read off the per-path execution tree."""
+def per_path_reference(tree, scheduler, target=None):
+    """hit_mass, dead_mass, live mass per (program state, scheduler memory)
+    at the depth cap, the number of live paths there, and the number of
+    distinct (program state, memory) pairs among the nodes generated at
+    each depth, read off the per-path execution tree.  The memory follows
+    each path from the root, or is None when the program never asks the
+    scheduler."""
     hit = [Fraction(0)] * (tree.depth_cap + 1)
     dead = Fraction(0)
     live = {}
     paths = 0
-    todo = [tree.root]
+    generated = [set() for _ in range(tree.depth_cap + 1)]
+    asks = any(isinstance(term, NondetChoice)
+               for term in subterms(tree.root.state.program))
+    todo = [(tree.root, scheduler.start() if asks else None)]
     while todo:
-        node = todo.pop()
+        node, memory = todo.pop()
         st = node.state
+        generated[node.depth].add((st.program_state(), memory))
         if target is not None and target(st.program_state()):
             hit[node.depth] += st.prob
         elif is_terminal(st):
@@ -128,38 +144,51 @@ def per_path_reference(tree, target=None):
             else:
                 dead += st.prob
         elif node.depth == tree.depth_cap:
-            ps = st.program_state()
-            live[ps] = live.get(ps, Fraction(0)) + st.prob
+            key = (st.program_state(), memory)
+            live[key] = live.get(key, Fraction(0)) + st.prob
             paths += 1
         else:
-            todo.extend(child for _, child in node.children)
-    return hit, dead, live, paths
+            for kind, child in node.children:
+                after = memory
+                if asks and len(child.state.history) > len(st.history):
+                    site = head_redex(st.program) \
+                        if kind is Kind.NONDET else None
+                    after = scheduler.advance(memory,
+                                              child.state.history[-1], site)
+                todo.append((child, after))
+    return hit, dead, live, paths, [len(keys) for keys in generated]
 
 
 def merged_frontier(profile):
     live = {}
-    for st in profile.frontier:
-        ps = st.program_state()
-        assert ps not in live and st.history == ()
-        live[ps] = st.prob
+    for st, memory in zip(profile.frontier, profile.frontier_memory):
+        key = (st.program_state(), memory)
+        assert key not in live and st.history == ()
+        live[key] = st.prob
     return live
 
 
+MERGING_SCHEDULERS = ["const:Ln", "const:Rn", "alt"] + [
+    f"bounded:{k}:const:{d}" for k in (1, 2, 3) for d in ("Ln", "Rn")]
+
+
 def test_merged_run_masses_match_per_path_tree(rng):
-    cases = [(RANDOM_WALK, 30), (GEOMETRIC, 30), (CHOICE_LOOP, 30)]
+    cases = [(RANDOM_WALK, 30), (GEOMETRIC, 30), (CHOICE_LOOP, 30),
+             (MEMORY_LOOP, 30)]
     cases += [(random_program(rng, 4), 8) for _ in range(40)]
     cases += [(random_active_program(rng), 20) for _ in range(30)]
     targets = [lambda ps: ps.valuation.get("x") >= 2,
                lambda ps: ps.valuation.get("x") == 1]
-    merged_some = False
-    for program, depth in cases:
-        for direction in (Ln, Rn):
-            scheduler = constant(direction)
+    for spec in MERGING_SCHEDULERS:
+        merged_some = False
+        for program, depth in cases:
+            scheduler = parse_scheduler_spec(spec)
             try:
                 tree = build_tree(program, scheduler, depth, node_cap=4000)
             except ResourceCapExceeded:
                 continue
-            hit, _, live, paths = per_path_reference(tree)
+            hit, _, live, paths, generated = per_path_reference(tree,
+                                                                scheduler)
             profile = run_masses(program, scheduler, depth)
             assert profile.hit_mass == hit
             assert merged_frontier(profile) == live
@@ -168,7 +197,8 @@ def test_merged_run_masses_match_per_path_tree(rng):
             merged_some |= len(profile.frontier) < paths
 
             for target in targets:
-                hit, dead, live, paths = per_path_reference(tree, target)
+                hit, dead, live, paths, _ = per_path_reference(
+                    tree, scheduler, target)
                 profile = run_masses(program, scheduler, depth,
                                      target=target)
                 assert profile.hit_mass == hit
@@ -176,12 +206,13 @@ def test_merged_run_masses_match_per_path_tree(rng):
                 assert merged_frontier(profile) == live
                 assert sum(profile.frontier_paths) == paths
 
-            # The cap counts paths, so it admits exactly the tree's nodes.
-            needed = tree.node_count()
+            # The cap counts merged entries: the root and, at every later
+            # depth, each distinct (program state, memory) generated there.
+            needed = sum(generated)
             run_masses(program, scheduler, depth, node_cap=needed)
             with pytest.raises(ResourceCapExceeded):
                 run_masses(program, scheduler, depth, node_cap=needed - 1)
-    assert merged_some
+        assert merged_some, spec
 
 
 def test_program_too_deep_to_hash_runs_per_path():

@@ -96,71 +96,65 @@ def test_random_scheduler_replayable():
     assert [a.decide(h) for h in histories] == [b.decide(h) for h in histories]
 
 
+def branch(sched, sites):
+    """The answers of sched along one branch that queries the given sites
+    in turn and takes every answer, advancing its memory as exploration
+    does."""
+    memory = sched.start()
+    answers = []
+    for site in sites:
+        direction = sched.decide(memory, site)
+        answers.append(direction)
+        memory = sched.advance(memory, direction, site)
+    return answers
+
+
 def test_bound_overrides_after_k_ignores():
     site = object()
-    sched = bound(constant(Ln), 2)
-    history = ()
-    answers = []
-    for _ in range(6):
-        direction = sched.decide(history, site)
-        answers.append(direction)
-        history = history + (direction,)
+    answers = branch(bound(constant(Ln), 2), [site] * 6)
     assert answers == [Ln, Ln, Rn, Ln, Ln, Rn]
 
 
 def test_bound_strict_alternation_at_k1():
     site = object()
-    sched = bound(constant(Ln), 1)
-    history = ()
-    answers = []
-    for _ in range(4):
-        direction = sched.decide(history, site)
-        answers.append(direction)
-        history = history + (direction,)
+    answers = branch(bound(constant(Ln), 1), [site] * 4)
     assert answers == [Ln, Rn, Ln, Rn]
 
 
 def test_bound_transparent_when_under_k():
     inner = from_function(lambda h: Rn if len(h) == 1 else Ln)
-    sched = bound(inner, 3)
     site = object()
-    history = ()
-    for _ in range(3):
-        direction = sched.decide(history, site)
-        assert direction == inner.decide(history)
-        history = history + (direction,)
+    answers = branch(bound(inner, 3), [site] * 3)
+    assert answers == [inner.decide(tuple(answers[:i])) for i in range(3)]
 
 
 def test_bound_tracks_sites_separately():
-    sched = bound(constant(Ln), 1)
     site_a, site_b = object(), object()
-    history = ()
     # Alternate queries between two sites: each site's own run is what
-    # matters, so the first query at each site still answers Ln.
-    first = sched.decide(history, site_a)
-    history += (first,)
-    assert first == Ln
-    second = sched.decide(history, site_b)
-    history += (second,)
-    assert second == Ln
-    third = sched.decide(history, site_a)
-    assert third == Rn  # Ln was already ignored once at site_a
+    # matters, so the first query at each site still answers Ln, and the
+    # third is Rn because Ln was already ignored once at site_a.
+    answers = branch(bound(constant(Ln), 1), [site_a, site_b, site_a])
+    assert answers == [Ln, Ln, Rn]
 
 
 def test_bound_audit_never_exceeds_k():
     # One repeated syntactic site, long branch: audit consecutive answers.
-    sched = bound(RandomScheduler(11), 3)
     site = object()
-    history = ()
     run_dir, run_len = None, 0
-    for _ in range(60):
-        direction = sched.decide(history, site)
+    for direction in branch(bound(RandomScheduler(11), 3), [site] * 60):
         if direction == run_dir:
             run_len += 1
         else:
             run_dir, run_len = direction, 1
         assert run_len <= 3
-        history = history + (direction,)
+
+
+def test_nested_bound_counts_its_own_answers():
+    # The inner bound answers Ln Ln Ln Rn and repeats, whatever the outer
+    # bound makes of its third Ln, so the outer answers Rn twice in a row.
+    site = object()
+    answers = branch(bound(bound(constant(Ln), 3), 2), [site] * 8)
+    assert answers == [Ln, Ln, Rn, Rn] * 2
 
 
 def test_bound_requires_positive_k():
