@@ -92,8 +92,28 @@ def _scheduler(args):
 def _fmt(value: Fraction, args) -> str:
     text = print_rational(value)
     if args.decimal:
-        return f"{text} (~{float(value):.6g})"
+        return f"{text} (~{_approx(value)})"
     return text
+
+
+def _approx(value: Fraction) -> str:
+    """value to six significant digits in the form of Python's '.6g', but
+    rounded from the exact rational, so that no magnitude overflows."""
+    if value == 0:
+        return "0"
+    sign, value = "-" if value < 0 else "", abs(value)
+    exp = len(str(value.numerator)) - len(str(value.denominator))
+    if value < Fraction(10) ** exp:
+        exp -= 1  # now 10**exp <= value < 10**(exp + 1)
+    digits = str(round(value / Fraction(10) ** (exp - 5)))
+    if len(digits) == 7:  # rounding carried into a seventh digit
+        digits, exp = digits[:6], exp + 1
+    if -4 <= exp < 6:
+        text, suffix = ("0." + "0" * (-exp - 1) + digits if exp < 0 else
+                        digits[:exp + 1] + "." + digits[exp + 1:]), ""
+    else:
+        text, suffix = digits[0] + "." + digits[1:], f"e{exp:+03d}"
+    return sign + text.rstrip("0").rstrip(".") + suffix
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +344,8 @@ def cmd_hydra_play(args) -> int:
                 continue
         else:
             leaf = strategy.choose(state)
-            evolutions = args.evolutions
+            # A head hanging on the root has no grandparent to regrow under.
+            evolutions = args.evolutions if len(leaf) >= 2 else 0
             print(f"round {round_no}: chopping "
                   f"{'.'.join(map(str, leaf)) or 'root'} "
                   f"with {evolutions} evolutions")

@@ -23,7 +23,7 @@ from typing import Callable, List, Optional
 
 from .semantics import (Direction, ExecState, Exit, ProgramState, classify,
                         head_redex, initial_state, is_terminal, step,
-                        step_all, Kind)
+                        step_all, Kind)  # the tracer patches both steps
 from .syntax import NondetChoice, Program, print_rational, subterms
 from .scheduling import Scheduler, iter_partial_schedules  # tracer patches it
 
@@ -120,34 +120,27 @@ class _MergedLayer:
                  paths) for state, memory, prob, paths in self._groups]
 
 
-def _stepper(scheduler):
-    """step for walks whose items carry the scheduler's memory:
-    (state, memory) -> [(Successor, memory once its direction is taken)].
-    Without a scheduler both directions of a choice are successors and
-    there is no memory."""
+def _successors(scheduler, state, memory):
+    """[(Successor, scheduler memory once its direction is taken)] for a
+    walk under `scheduler`: of a nondeterministic step only the arm the
+    scheduler picks at `memory`.  Without a scheduler both arms are kept
+    and there is no memory."""
+    successors = step(state)
     if scheduler is None:
-        return lambda state, memory: [(succ, None)
-                                      for succ in step(state, None)]
-
-    def successors(state, memory):
-        out = []
-        for succ in step(state, scheduler.at(memory)):
-            after = memory
-            if len(succ.state.history) > len(state.history):
-                site = head_redex(state.program) \
-                    if succ.kind is Kind.NONDET else None
-                after = scheduler.advance(memory, succ.state.history[-1],
-                                          site)
-            out.append((succ, after))
-        return out
-    return successors
+        return [(succ, None) for succ in successors]
+    if successors[0].site is not None:
+        answer = scheduler.decide(memory, successors[0].site)
+        successors = successors[:1] if answer is Direction.Ln \
+            else successors[1:]
+    return [(succ, memory if succ.direction is None
+             else scheduler.advance(memory, succ.direction, succ.site))
+            for succ in successors]
 
 
 def _successor_states(scheduler):
     """expand for walks whose items are (ExecState, memory) pairs."""
-    successors = _stepper(scheduler)
     return lambda item: [(succ.state, memory)
-                         for succ, memory in successors(*item)]
+                         for succ, memory in _successors(scheduler, *item)]
 
 
 def _start(scheduler):
@@ -235,7 +228,6 @@ def build_tree(program: Program, scheduler: Scheduler, depth: int,
     """Breadth-first execution tree from (program, zero valuation, 1, empty
     history) down to the depth cap.  Terminal states are leaves."""
     levels = []
-    successors = _stepper(scheduler)
 
     def visit(d, layer):
         levels.append([node for (node, _), _ in layer])
@@ -244,7 +236,7 @@ def build_tree(program: Program, scheduler: Scheduler, depth: int,
 
     def expand(item):
         node, memory = item
-        stepped = successors(node.state, memory)
+        stepped = _successors(scheduler, node.state, memory)
         node.children = [(succ.kind, TreeNode(succ.state, node.depth + 1))
                          for succ, _ in stepped]
         return [(child, after)
@@ -562,7 +554,7 @@ def collapse_to_state_graph(program: Program, bound: int) -> StateGraph:
             continue
         out = []
         exec_state = ExecState(ps.program, ps.valuation, ONE, ())
-        for succ in step_all(exec_state):
+        for succ in step(exec_state):
             child = succ.state.program_state()
             if child not in index:
                 if len(states) >= bound:
@@ -573,8 +565,8 @@ def collapse_to_state_graph(program: Program, bound: int) -> StateGraph:
                 kinds.append(classify(child))
                 todo.append(index[child])
             if kind == "nondet":
-                left = succ.state.history[-1] is Direction.Ln
-                label = "nondet-left" if left else "nondet-right"
+                label = "nondet-left" if succ.direction is Direction.Ln \
+                    else "nondet-right"
             elif kind == "prob":
                 label = succ.kind.value
             else:

@@ -52,23 +52,6 @@ class Scheduler:
         `memory`."""
         raise NotImplementedError
 
-    def at(self, memory) -> "Answers":
-        return Answers(self, memory)
-
-
-class Answers:
-    """A scheduler's answers at one memory, in the form step() consults:
-    decide(history, site), which does not read the history."""
-
-    __slots__ = ("scheduler", "memory")
-
-    def __init__(self, scheduler: Scheduler, memory):
-        self.scheduler = scheduler
-        self.memory = memory
-
-    def decide(self, history, site=None) -> Direction:
-        return self.scheduler.decide(self.memory, site)
-
 
 class ConstantScheduler(Scheduler):
     def __init__(self, direction: Direction):

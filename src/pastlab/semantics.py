@@ -3,9 +3,9 @@
 An execution state is (program, valuation, probability, history).  The
 probability is the exact chance of reaching this state from the initial one;
 the history records the direction taken at every probabilistic and
-nondeterministic choice.  step() consults a scheduler with it; exploration
-passes the scheduler's answers at its memory of the history instead (see
-scheduling).
+nondeterministic choice.  step() is the transition relation itself: it
+returns both arms of a nondeterministic choice, and exploration keeps the
+one a scheduler picks (see scheduling).
 
 Step conventions:
   * every inference rule application is exactly one step, including the
@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .syntax import (ABin, AExpr, Assign, BBin, BExpr, BoolLit, Cmp, EMPTY,
                      Empty, Exit, If, Neg, NondetChoice, Not, ProbChoice,
@@ -206,6 +207,8 @@ class Kind(enum.Enum):
 class Successor:
     state: ExecState
     kind: Kind
+    direction: Optional[Direction]  # None for a step that records none
+    site: Optional[NondetChoice]    # the nondet choice it resolved, if any
 
 
 StepOutcome = list  # list of Successor
@@ -226,7 +229,7 @@ def _split(program):
     return program, rests
 
 
-def _redex_successors(redex, valuation, history, scheduler):
+def _redex_successors(redex, valuation):
     """(program, valuation, factor, direction, kind) for each successor of
     the head redex alone; a factor of None leaves the probability as is."""
     det = Kind.DETERMINISTIC
@@ -254,25 +257,20 @@ def _redex_successors(redex, valuation, history, scheduler):
         return [(redex.left, valuation, p, Direction.Lp, Kind.PROB_LEFT),
                 (redex.right, valuation, 1 - p, Direction.Rp, Kind.PROB_RIGHT)]
     if isinstance(redex, NondetChoice):
-        left = (redex.left, valuation, None, Direction.Ln, Kind.NONDET)
-        right = (redex.right, valuation, None, Direction.Rn, Kind.NONDET)
-        if scheduler is None:
-            # Caller wants both directions (full branching exploration).
-            return [left, right]
-        chosen = scheduler.decide(history, site=redex)
-        return [left if chosen == Direction.Ln else right]
+        return [(redex.left, valuation, None, Direction.Ln, Kind.NONDET),
+                (redex.right, valuation, None, Direction.Rn, Kind.NONDET)]
     if isinstance(redex, Seq):  # its first component has finished
         return [(redex.rest, valuation, None, None, det)]
     raise TerminalStepError(f"cannot step program {redex!r}")
 
 
-def step(state: ExecState, scheduler) -> StepOutcome:
+def step(state: ExecState) -> StepOutcome:
     """Apply one inference rule to a non-terminal state.
 
-    Returns one successor, or two for a genuine probabilistic split (in which
-    case the successor probabilities sum to the parent's).  The scheduler is
-    consulted only when the redex is a nondeterministic choice; with no
-    scheduler both directions of the choice are successors.
+    Returns one successor, or two: for a genuine probabilistic split, whose
+    successor probabilities sum to the parent's, and for a nondeterministic
+    choice, whose two arms each keep the parent's probability and name the
+    choice as their site.
     """
     if is_terminal(state):
         raise TerminalStepError("cannot step a terminal state")
@@ -280,21 +278,20 @@ def step(state: ExecState, scheduler) -> StepOutcome:
     if isinstance(redex, Exit):  # exit collapses every pending rest
         rests = ()
     out = []
+    site = redex if isinstance(redex, NondetChoice) else None
     for program, valuation, factor, direction, kind in _redex_successors(
-            redex, state.valuation, state.history, scheduler):
+            redex, state.valuation):
         for rest in reversed(rests):
             program = Seq(program, rest)
         prob = state.prob if factor is None else state.prob * factor
         history = state.history if direction is None \
             else state.history + (direction,)
         out.append(Successor(ExecState(program, valuation, prob, history),
-                             kind))
+                             kind, direction, site))
     return out
 
 
-def step_all(state: ExecState) -> StepOutcome:
-    """Like step, but expands both directions of a nondeterministic choice."""
-    return step(state, None)
+step_all = step
 
 
 def head_redex(program: Program) -> Program:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pastlab import syntax
+from pastlab.semantics import step
 from pastlab.syntax import (ABin, Assign, BBin, BoolLit, Cmp, EMPTY, EXIT,
                             If, Neg, NondetChoice, Not, ProbChoice, RatLit,
                             SKIP, Seq, Var, While)
@@ -70,6 +71,24 @@ def random_program(rng, depth):
     count = rng.randrange(1, 3)
     stmts = [random_statement(rng, depth - 1) for _ in range(count)]
     return syntax.seq_of(stmts)
+
+
+def scheduled_step(state, scheduler, memory):
+    """[(successor, scheduler memory after it)] for `state` when `scheduler`
+    resolves its choice at `memory`: of a nondeterministic step the arm
+    whose direction the scheduler answers, of any other step every
+    successor.  With no scheduler every successor is kept, with memory
+    None."""
+    out = []
+    for succ in step(state):
+        if scheduler is None:
+            out.append((succ, None))
+        elif succ.site is None \
+                or succ.direction is scheduler.decide(memory, succ.site):
+            out.append((succ, memory if succ.direction is None
+                        else scheduler.advance(memory, succ.direction,
+                                               succ.site)))
+    return out
 
 
 def random_active_program(rng):

@@ -175,6 +175,29 @@ def test_check_rsm_two_node_chain(tmp_path, capsys):
     assert "OK, bound = 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("h, epsilon, approx", [
+    pytest.param("1" + "0" * 400, "1", "1e+400", id="beyond-float-range"),
+    pytest.param("3" + "0" * 400, "7", "4.28571e+399", id="fraction-beyond"),
+    pytest.param("7", "3", "2.33333", id="fixed"),
+    pytest.param("1234567", "1", "1.23457e+06", id="exponent"),
+    pytest.param("9999995", "10", "1e+06", id="carry"),
+])
+def test_check_rsm_decimal_bound_is_rounded_exactly(tmp_path, capsys, h,
+                                                    epsilon, approx):
+    program_path = tmp_path / "program.pgcl"
+    program_path.write_text("x := 1\n")
+    graph_path = tmp_path / "graph.json"
+    assert main(["graph", str(program_path), "-o", str(graph_path)]) == 0
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(
+        {"epsilon": epsilon, "h": {"x := 1 | ": h, "bot | x=1": "0"}}))
+    capsys.readouterr()
+    assert main(["check-rsm", str(graph_path), str(cert_path),
+                 "--decimal"]) == 0
+    bound = print_rational(Fraction(h) / Fraction(epsilon))
+    assert capsys.readouterr().out == f"OK, bound = {bound} (~{approx})\n"
+
+
 def test_check_rule_cli(tmp_path, capsys):
     program_path = tmp_path / "two.pgcl"
     program_path.write_text("skip\n")
@@ -257,6 +280,18 @@ def test_hydra_play_scripted_stdin(monkeypatch, capsys):
     assert code == 2
 
 
+def test_hydra_play_head_on_the_root_takes_no_evolutions(capsys):
+    # Both heads hang on the root, which has no parent: each scripted round
+    # chops one with 0 evolutions, the only legal count, until the hydra
+    # is dead.
+    assert main(["hydra", "play", "--tree", "(()())", "--evolutions", "1",
+                 "--hercules", "leftmost-deepest"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("with 0 evolutions") == 2
+    assert "illegal move" not in out
+    assert out.endswith("the hydra is dead: Hercules wins\n")
+
+
 def test_node_cap_env_override(geometric_file, monkeypatch, capsys):
     monkeypatch.setenv("PASTLAB_NODE_CAP", "3")
     assert main(["run", geometric_file, "--depth", "30"]) == 2
@@ -302,10 +337,10 @@ def test_memoryless_run_merges_equal_states(monkeypatch, capsys):
     calls = 0
     real_step = exploration.step
 
-    def counting_step(state, scheduler):
+    def counting_step(state):
         nonlocal calls
         calls += 1
-        return real_step(state, scheduler)
+        return real_step(state)
 
     monkeypatch.setattr(exploration, "step", counting_step)
     outputs = []

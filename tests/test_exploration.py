@@ -11,15 +11,14 @@ from pastlab.exploration import (ResourceCapExceeded, StateGraph,
                                  collect_nondet_queries,
                                  exp_reach_runtime_bounds, exp_runtime_bounds,
                                  run_masses, termination_prob_upto)
-from pastlab.scheduling import (RandomScheduler, constant,
+from pastlab.scheduling import (RandomScheduler, Scheduler, constant,
                                 iter_partial_schedules, parse_scheduler_spec,
                                 standard_extension, Ln, Rn)
-from pastlab.semantics import (Kind, head_redex, initial_state, is_terminal,
-                               step)
+from pastlab.semantics import Kind, head_redex, initial_state, is_terminal
 from pastlab.syntax import NondetChoice, parse, subterms
 from pastlab.transforms import emit_inc
 from conftest import (ballot_walk_oracle, geometric_series_limit,
-                      random_active_program, random_program)
+                      random_active_program, random_program, scheduled_step)
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 RANDOM_WALK = parse("x := 1; while (x != 0) "
@@ -59,18 +58,9 @@ def test_build_tree_coin():
 
 def test_build_tree_conservation_vs_brute_force():
     # Node count must agree with an independent recursive enumerator.
-    def enumerate_states(state, scheduler, depth):
-        if depth == 0 or is_terminal(state):
-            return 1
-        from pastlab.semantics import step
-        return 1 + sum(enumerate_states(s.state, scheduler, depth - 1)
-                       for s in step(state, scheduler))
-
-    from pastlab.semantics import initial_state
     scheduler = constant(Ln)
     tree = build_tree(RANDOM_WALK, scheduler, 12)
-    assert tree.node_count() == enumerate_states(
-        initial_state(RANDOM_WALK), scheduler, 12)
+    assert tree.node_count() == states_in_layers(RANDOM_WALK, scheduler, 12)
     # More than one non-terminal state per depth: the walk branches.
     widths = [sum(1 for n in level if not is_terminal(n.state))
               for level in tree.levels]
@@ -83,13 +73,34 @@ def test_build_tree_node_cap():
 
 
 def states_in_layers(program, scheduler, last):
-    """States in layers 0..last of the execution tree, by recursion."""
-    def count(state, depth):
+    """States in layers 0..last of the execution tree, by recursion; with no
+    scheduler both arms of every nondeterministic choice are followed."""
+    def count(state, memory, depth):
         if depth == last or is_terminal(state):
             return 1
-        return 1 + sum(count(s.state, depth + 1)
-                       for s in step(state, scheduler))
-    return count(initial_state(program), 0)
+        return 1 + sum(count(succ.state, after, depth + 1) for succ, after
+                       in scheduled_step(state, scheduler, memory))
+    return count(initial_state(program),
+                 None if scheduler is None else scheduler.start(), 0)
+
+
+class Poison(Scheduler):
+    def decide(self, memory, site=None):
+        raise AssertionError("scheduler consulted for a nondet-free program")
+
+
+def test_nondet_free_program_never_asks_the_scheduler(rng):
+    programs = [RANDOM_WALK, GEOMETRIC, SPIN,
+                parse("exit; x := 1; x := 2"),
+                parse("{ x := 1 } <0> { x := 2 }; { x := 3 } <2> { skip }")]
+    while len(programs) < 40:
+        program = random_program(rng, 4)
+        if not any(isinstance(term, NondetChoice)
+                   for term in subterms(program)):
+            programs.append(program)
+    for program in programs:
+        build_tree(program, Poison(), 8)
+        run_masses(program, Poison(), 8)
 
 
 @pytest.mark.parametrize("analysis, needed", [

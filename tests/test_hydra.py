@@ -12,12 +12,13 @@ from pastlab.hydra import (EncodingWidthError, HydraError, HydraState,
                            parse_hydra, play_round, print_hydra,
                            successors_T, surviving, tree_from_counts)
 from pastlab.ordinal import OMEGA, ZERO, from_natural, natural_sum
-from pastlab.semantics import Kind, head_redex, initial_state, is_terminal, step
+from pastlab.semantics import Kind, head_redex, initial_state, is_terminal
 from pastlab.scheduling import Scheduler, Ln, Rn
 from pastlab.syntax import BoolLit, While
 from pastlab.transforms import is_knievel
 from pastlab.exploration import exp_runtime_bounds
 from pastlab.scheduling import constant
+from conftest import scheduled_step
 
 LINE = parse_hydra("((()))")          # root - mid - leaf
 SINGLE = parse_hydra("(())")          # root with one leaf child
@@ -210,22 +211,27 @@ class EvolveScript(Scheduler):
         return self.memo[history]
 
 
+def arm(successors, kind):
+    """(state, memory) of the one scheduled successor, or at a coin of the
+    arm of the given kind."""
+    if len(successors) == 2:
+        successors = [pair for pair in successors if pair[0].kind == kind]
+    (succ, memory), = successors
+    return succ.state, memory
+
+
 def simulate_one_round(state, evolutions):
     """Drive the compiled game through one full round on the surviving
     path; returns (steps, survival probability, class counts valuation)."""
     program = compile_to_pgcl(state)
     scheduler = EvolveScript(evolutions)
-    current = initial_state(program)
+    current, memory = initial_state(program), scheduler.start()
     steps = 0
     loop_heads = 0
     first_head = None
     while steps < 2000:
-        successors = step(current, scheduler)
-        if len(successors) == 2:
-            current = [s for s in successors
-                       if s.kind == Kind.PROB_LEFT][0].state
-        else:
-            current = successors[0].state
+        current, memory = arm(scheduled_step(current, scheduler, memory),
+                              Kind.PROB_LEFT)
         steps += 1
         redex = head_redex(current.program)
         if isinstance(redex, While) and isinstance(redex.guard, BoolLit):
@@ -279,7 +285,7 @@ def test_round_steps_death_paths():
     # Death at coin i collapses the whole program right after the coin.
     program = compile_to_pgcl(LINE)
     scheduler = EvolveScript(3)
-    current = initial_state(program)
+    current, memory = initial_state(program), scheduler.start()
     steps = 0
     first_head = None
     coins = 0
@@ -288,15 +294,15 @@ def test_round_steps_death_paths():
         if isinstance(redex, While) and isinstance(redex.guard, BoolLit) \
                 and first_head is None:
             first_head = steps
-        successors = step(current, scheduler)
+        successors = scheduled_step(current, scheduler, memory)
         if len(successors) == 2:
             coins += 1
             if coins == 2:
-                dead = [s for s in successors
-                        if s.kind == Kind.PROB_RIGHT][0].state
+                dead, after = arm(successors, Kind.PROB_RIGHT)
                 extra = 0
                 while not is_terminal(dead):
-                    dead = step(dead, scheduler)[0].state
+                    dead, after = arm(scheduled_step(dead, scheduler, after),
+                                      Kind.PROB_RIGHT)
                     extra += 1
                 died_at = steps + 1 + extra - first_head
                 outcome = [o for o in play_round(LINE, (0, 0), 3)
@@ -304,10 +310,7 @@ def test_round_steps_death_paths():
                 assert outcome.prob == Fraction(1, 4)
                 assert died_at == outcome.steps
                 return
-            current = [s for s in successors
-                       if s.kind == Kind.PROB_LEFT][0].state
-        else:
-            current = successors[0].state
+        current, memory = arm(successors, Kind.PROB_LEFT)
         steps += 1
 
 

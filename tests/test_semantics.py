@@ -5,15 +5,9 @@ import pytest
 from pastlab.semantics import (Direction, ExecState, Kind, TerminalStepError,
                                Valuation, classify, eval_aexpr, eval_bexpr,
                                exec_state_from_json, initial_state,
-                               is_terminal, step, step_all)
-from pastlab.scheduling import Scheduler, constant, Ln, Rn
+                               is_terminal, step)
 from pastlab.syntax import parse, parse_aexpr, parse_bexpr
 from conftest import random_program
-
-
-class Poison(Scheduler):
-    def decide(self, history, site=None):
-        raise AssertionError("scheduler consulted for a nondet-free program")
 
 
 def val(**kwargs):
@@ -42,7 +36,7 @@ def test_valuation_is_persistent_and_zero_normalised():
 
 def test_assign_under_sequence():
     program = parse("x := 1; while (x != 0) { skip }")
-    (succ,) = step(initial_state(program), Poison())
+    (succ,) = step(initial_state(program))
     assert succ.kind == Kind.DETERMINISTIC
     assert succ.state.valuation.get("x") == 1
     assert succ.state.prob == 1
@@ -51,7 +45,7 @@ def test_assign_under_sequence():
 
 def test_prob_split():
     program = parse("{ x := 1 } <1/2> { x := 2 }")
-    left, right = step(initial_state(program), Poison())
+    left, right = step(initial_state(program))
     assert left.kind == Kind.PROB_LEFT and right.kind == Kind.PROB_RIGHT
     assert left.state.prob == Fraction(1, 2)
     assert right.state.prob == Fraction(1, 2)
@@ -61,54 +55,59 @@ def test_prob_split():
 
 def test_forced_prob_branches_extend_history():
     low = parse("{ x := 1 } <0> { x := 2 }")
-    (succ,) = step(initial_state(low), Poison())
+    (succ,) = step(initial_state(low))
     assert succ.state.prob == 1 and succ.state.history == (Direction.Rp,)
     high = parse("{ x := 1 } <3/2> { x := 2 }")
-    (succ,) = step(initial_state(high), Poison())
+    (succ,) = step(initial_state(high))
     assert succ.state.prob == 1 and succ.state.history == (Direction.Lp,)
 
 
 def test_state_dependent_probability():
     program = parse("{ skip } <p> { exit }")
     state = ExecState(program, val(p=Fraction(1, 3)), Fraction(1), ())
-    left, right = step(state, Poison())
+    left, right = step(state)
     assert left.state.prob == Fraction(1, 3)
     assert right.state.prob == Fraction(2, 3)
 
 
-def test_nondet_consults_scheduler():
+def test_nondet_steps_to_both_arms():
     program = parse("{ y := 0 } [] { y := 1 }")
     state = ExecState(program, Valuation(), Fraction(1), (Direction.Lp,))
-    (succ,) = step(state, constant(Rn))
-    assert succ.kind == Kind.NONDET
-    assert succ.state.history == (Direction.Lp, Direction.Rn)
-    assert succ.state.program == parse("y := 1")
+    left, right = step(state)
+    assert left.kind == right.kind == Kind.NONDET
+    assert left.site is right.site is program
+    assert (left.direction, right.direction) == (Direction.Ln, Direction.Rn)
+    assert left.state.history == (Direction.Lp, Direction.Ln)
+    assert right.state.history == (Direction.Lp, Direction.Rn)
+    assert left.state.program == parse("y := 0")
+    assert right.state.program == parse("y := 1")
+    assert left.state.prob == right.state.prob == 1
 
 
 def test_exit_collapses_continuation():
     program = parse("exit; x := 1; x := 2")
-    (succ,) = step(initial_state(program), Poison())
+    (succ,) = step(initial_state(program))
     assert is_terminal(succ.state)
     assert succ.state.prob == 1
 
 
 def test_skip_one_step():
-    (succ,) = step(initial_state(parse("skip")), Poison())
+    (succ,) = step(initial_state(parse("skip")))
     assert is_terminal(succ.state)
 
 
 def test_if_reduces_in_one_step():
     program = parse("if (x = 0) { x := 1 } else { x := 2 }")
-    (succ,) = step(initial_state(program), Poison())
+    (succ,) = step(initial_state(program))
     assert succ.state.program == parse("x := 1")
 
 
 def test_while_unfold_and_exit():
     program = parse("while (x != 0) { skip }")
-    (succ,) = step(initial_state(program), Poison())
+    (succ,) = step(initial_state(program))
     assert is_terminal(succ.state)
     state = ExecState(program, val(x=1), Fraction(1), ())
-    (succ,) = step(state, Poison())
+    (succ,) = step(state)
     assert succ.state.program == parse("skip; while (x != 0) { skip }")
 
 
@@ -120,7 +119,7 @@ def test_is_terminal():
 
 def test_step_terminal_is_contract_violation():
     with pytest.raises(TerminalStepError):
-        step(initial_state(parse("bot")), Poison())
+        step(initial_state(parse("bot")))
 
 
 def test_classify():
@@ -146,7 +145,7 @@ def test_probability_conservation_and_history_discipline(rng):
             for st in frontier:
                 if is_terminal(st):
                     continue
-                succs = step_all(st)
+                succs = step(st)
                 if any(s.kind == Kind.NONDET for s in succs):
                     # Demonic branching: each direction keeps the full mass.
                     assert all(s.state.prob == st.prob for s in succs)
@@ -167,19 +166,16 @@ def test_probability_conservation_and_history_discipline(rng):
 def test_replayability(rng):
     for _ in range(30):
         program = random_program(rng, 4)
-        sched = constant(Ln)
         state = initial_state(program)
         if is_terminal(state):
             continue
-        first = step(state, sched)
-        second = step(state, sched)
-        assert first == second
+        assert step(state) == step(state)
 
 
 def test_exec_state_json_round_trip():
     program = parse("{ skip } <1/2> { exit }")
     state = initial_state(program)
-    (left, _) = step(state, Poison())
+    (left, _) = step(state)
     data = left.state.to_json()
     assert data["history"] == "Lp"
     assert data["prob"] == "1/2"

@@ -8,8 +8,7 @@ from pastlab.exploration import (artery_widths, collect_nondet_queries,
 from pastlab.ordinal import ZERO as ORD_ZERO, from_natural
 from pastlab.scheduling import (RandomScheduler, constant, Ln, Rn,
                                 iter_partial_schedules, standard_extension)
-from pastlab.semantics import (Kind, head_redex, initial_state, is_terminal,
-                               step)
+from pastlab.semantics import Kind, head_redex, initial_state, is_terminal
 from pastlab.syntax import Cmp, Var, While, parse
 from pastlab.transforms import (FrontierWidthError, NonConstantProbability,
                                 TransformError, TreeSpec, cantor_pair,
@@ -19,6 +18,7 @@ from pastlab.transforms import (FrontierWidthError, NonConstantProbability,
                                 rule_tree, to_knievel)
 from certhelpers import (build_inc_graph, build_inc_rank1_capped,
                          build_inc_rank2, inc_least_unit_rsm)
+from conftest import scheduled_step
 
 SPIN = parse("while (true) { skip }")
 
@@ -105,17 +105,24 @@ def test_to_knievel_exposes_nondet_choices():
     assert queries  # the source's choice is still the scheduler's
 
 
+def live_step(state, scheduler, memory):
+    """(state, memory) after one step along the live branch: the first
+    successor that is not a coin's right (death) arm."""
+    succ, memory = next(pair for pair
+                        in scheduled_step(state, scheduler, memory)
+                        if pair[0].kind != Kind.PROB_RIGHT)
+    return succ.state, memory
+
+
 def count_cheers(program, scheduler, depth):
     """Follow the live branch and count completed cheering passes (entries
     into the bound-crossing wait loop)."""
-    state = initial_state(program)
+    state, memory = initial_state(program), scheduler.start()
     cheers = 0
     for _ in range(depth):
         if is_terminal(state):
             break
-        successors = step(state, scheduler)
-        live = [s for s in successors if s.kind != Kind.PROB_RIGHT]
-        state = live[0].state
+        state, memory = live_step(state, scheduler, memory)
         redex = head_redex(state.program)
         if isinstance(redex, While) and isinstance(redex.guard, Cmp) \
                 and isinstance(redex.guard.left, Var) \
@@ -162,13 +169,12 @@ def test_to_knievel_weight_bookkeeping_is_exact():
     out = to_knievel(parse("{ x := 1 } <1/3> { x := 2 }"))
     state = initial_state(out)
     scheduler = constant(Ln)
+    memory = scheduler.start()
     seen_one = False
     for _ in range(400):
         if is_terminal(state):
             break
-        successors = step(state, scheduler)
-        live = [s for s in successors if s.kind != Kind.PROB_RIGHT]
-        state = live[0].state
+        state, memory = live_step(state, scheduler, memory)
         if state.valuation.get("term") == 1:
             seen_one = True
             break
@@ -216,14 +222,12 @@ def test_reduction_cheer_length_tracks_live_probability():
     # probability exactly 1/s: one full pass adds one expected step.
     program = emit_tree_reduction(rule_tree("full"))
     scheduler = RandomScheduler(23)
-    state = initial_state(program)
+    state, memory = initial_state(program), scheduler.start()
     checked = 0
     for _ in range(600):
         if is_terminal(state):
             break
-        successors = step(state, scheduler)
-        live = [s for s in successors if s.kind != Kind.PROB_RIGHT]
-        state = live[0].state
+        state, memory = live_step(state, scheduler, memory)
         redex = head_redex(state.program)
         if isinstance(redex, While) and isinstance(redex.guard, Cmp) \
                 and isinstance(redex.guard.left, Var) \
