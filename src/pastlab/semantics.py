@@ -22,6 +22,7 @@ Step conventions:
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -31,6 +32,7 @@ from .syntax import (ABin, AExpr, Assign, BBin, BExpr, BoolLit, Cmp, EMPTY,
                      Program, RatLit, Seq, Skip, Var, While, parse,
                      print_program, print_rational)
 
+ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -67,7 +69,7 @@ class Valuation:
         self._hash = hash(frozenset(items.items()))
 
     def get(self, name: str) -> Fraction:
-        return self._items.get(name, Fraction(0))
+        return self._items.get(name, ZERO)
 
     def set(self, name: str, value) -> "Valuation":
         new = dict(self._items)
@@ -172,17 +174,17 @@ def eval_aexpr(e: AExpr, valuation: Valuation) -> Fraction:
     raise TypeError(f"not an arithmetic expression: {e!r}")
 
 
+_COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def eval_bexpr(b: BExpr, valuation: Valuation) -> bool:
     if isinstance(b, BoolLit):
         return b.value
     if isinstance(b, Cmp):
         left = eval_aexpr(b.left, valuation)
         right = eval_aexpr(b.right, valuation)
-        return {
-            "=": left == right, "!=": left != right,
-            "<": left < right, "<=": left <= right,
-            ">": left > right, ">=": left >= right,
-        }[b.op]
+        return _COMPARISONS[b.op](left, right)
     if isinstance(b, Not):
         return not eval_bexpr(b.operand, valuation)
     if isinstance(b, BBin):

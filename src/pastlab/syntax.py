@@ -35,11 +35,36 @@ from typing import Union
 MAX_DIGITS = 4300
 
 
+def _term(cls):
+    """A frozen dataclass whose structural hash, and (for a program node
+    other than Seq) whose printed text, are computed at most once and kept
+    on the node: the memo half of hash-consing (Filliâtre and Conchon,
+    "Type-Safe Modular Hash-Consing", ML Workshop 2006).
+
+    The hash is that of the field tuple, as the generated dataclass hash
+    is, so every dict and set keeps its order.  Its first computation
+    recurses one Python frame per level of the term, as that one does."""
+    cls = dataclass(frozen=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = hash(tuple([getattr(self, name) for name in names]))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    cls.__hash__ = __hash__
+    cls._hash = None
+    cls._text = None
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Arithmetic and boolean expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_term
 class RatLit:
     value: Fraction
 
@@ -47,17 +72,17 @@ class RatLit:
         return f"RatLit({self.value})"
 
 
-@dataclass(frozen=True)
+@_term
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@_term
 class Neg:
     operand: "AExpr"
 
 
-@dataclass(frozen=True)
+@_term
 class ABin:
     op: str  # '+', '-', '*'
     left: "AExpr"
@@ -67,24 +92,24 @@ class ABin:
 AExpr = Union[RatLit, Var, Neg, ABin]
 
 
-@dataclass(frozen=True)
+@_term
 class BoolLit:
     value: bool
 
 
-@dataclass(frozen=True)
+@_term
 class Cmp:
     op: str  # '=', '!=', '<', '<=', '>', '>='
     left: AExpr
     right: AExpr
 
 
-@dataclass(frozen=True)
+@_term
 class Not:
     operand: "BExpr"
 
 
-@dataclass(frozen=True)
+@_term
 class BBin:
     op: str  # 'and', 'or'
     left: "BExpr"
@@ -98,53 +123,53 @@ BExpr = Union[BoolLit, Cmp, Not, BBin]
 # Programs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_term
 class Empty:
     """The empty program: execution has nothing left to do."""
 
 
-@dataclass(frozen=True)
+@_term
 class Skip:
     pass
 
 
-@dataclass(frozen=True)
+@_term
 class Exit:
     pass
 
 
-@dataclass(frozen=True)
+@_term
 class Assign:
     var: str
     expr: AExpr
 
 
-@dataclass(frozen=True)
+@_term
 class Seq:
     first: "Program"
     rest: "Program"
 
 
-@dataclass(frozen=True)
+@_term
 class ProbChoice:
     left: "Program"
     prob: AExpr
     right: "Program"
 
 
-@dataclass(frozen=True)
+@_term
 class NondetChoice:
     left: "Program"
     right: "Program"
 
 
-@dataclass(frozen=True)
+@_term
 class While:
     guard: BExpr
     body: "Program"
 
 
-@dataclass(frozen=True)
+@_term
 class If:
     guard: BExpr
     then: "Program"
@@ -590,7 +615,33 @@ def print_bexpr(b: BExpr) -> str:
 
 
 def print_program(p: Program) -> str:
-    """Render a Program as canonical single-line concrete syntax."""
+    """Render a Program as canonical single-line concrete syntax.
+
+    A Seq prints as the texts of its statements joined by "; ", however it
+    nests, so its spine is walked with an explicit stack and a sequence of
+    any length prints.  Each statement's text is computed once."""
+    texts = []
+    rests = []  # the rests still to print, the next one last
+    while True:
+        while type(p) is Seq:
+            rests.append(p.rest)
+            p = p.first
+        try:
+            text = p._text
+        except AttributeError:
+            raise TypeError(f"not a program: {p!r}") from None
+        if text is None:
+            text = _print_statement(p)
+            object.__setattr__(p, "_text", text)
+        texts.append(text)
+        if not rests:
+            break
+        p = rests.pop()
+    return "; ".join(texts)
+
+
+def _print_statement(p: Program) -> str:
+    """The text of a program node other than Seq."""
     if isinstance(p, Empty):
         return "bot"
     if isinstance(p, Skip):
@@ -599,8 +650,6 @@ def print_program(p: Program) -> str:
         return "exit"
     if isinstance(p, Assign):
         return f"{p.var} := {print_aexpr(p.expr)}"
-    if isinstance(p, Seq):
-        return f"{print_program(p.first)}; {print_program(p.rest)}"
     if isinstance(p, ProbChoice):
         return (f"{{ {print_program(p.left)} }} <{print_aexpr(p.prob)}> "
                 f"{{ {print_program(p.right)} }}")

@@ -611,19 +611,17 @@ def test_malformed_certificate_file_exits_2(tmp_path, capsys, command, cert,
 
 
 # ---------------------------------------------------------------------------
-# Programs too deep for the recursive parser, printer and hash
+# Programs too deep for the recursive parser and hash; long ones that print
 # ---------------------------------------------------------------------------
 
-def _assignments(count):
-    return "; ".join(f"x := {i}" for i in range(count))
+def _assignments(count, start=0):
+    return "; ".join(f"x := {i}" for i in range(start, count))
 
 
 @pytest.mark.parametrize("argv, source", [
-    pytest.param(["parse"], _assignments(3000), id="parse"),
     pytest.param(["graph"], _assignments(800), id="graph"),
-    pytest.param(["run", "--depth", "10", "--format", "json"],
-                 "{ skip } <1/2> { skip }; " + _assignments(1500),
-                 id="run-json"),
+    pytest.param(["parse"], "if (x = 0) { " * 1000 + "skip" + " }" * 1000,
+                 id="nested-if"),
 ])
 def test_too_deep_program_exits_2(tmp_path, capsys, argv, source):
     path = tmp_path / "deep.pgcl"
@@ -633,6 +631,27 @@ def test_too_deep_program_exits_2(tmp_path, capsys, argv, source):
     assert captured.out == ""
     assert captured.err == \
         "error: program nests too deeply for this analysis\n"
+
+
+def test_parse_prints_a_long_sequence(tmp_path, capsys):
+    path = tmp_path / "long.pgcl"
+    path.write_text(_assignments(3000) + "\n")
+    assert main(["parse", str(path)]) == 0
+    assert capsys.readouterr() == (_assignments(3000) + "\n", "")
+
+
+def test_run_json_prints_a_long_sequence(tmp_path, capsys):
+    path = tmp_path / "long.pgcl"
+    path.write_text("{ skip } <1/2> { skip }; " + _assignments(1500) + "\n")
+    assert main(["run", str(path), "--depth", "10", "--format", "json"]) == 0
+    # The residual program is too deep to hash, so the states the two
+    # branches reach are listed apart rather than merged.
+    state = {"program": "bot; " + _assignments(1500, start=4),
+             "valuation": {"x": "3"}, "prob": "1/2", "history": "",
+             "paths": 1}
+    expected = {"depth": 10, "terminal_mass": "0", "frontier_mass": "1",
+                "frontier_states": [state, state]}
+    assert capsys.readouterr() == (json.dumps(expected) + "\n", "")
 
 
 def _coins(count, last="{ skip } <1/2> { exit }"):

@@ -1,16 +1,21 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pastlab.syntax import (ABin, Assign, BBin, BoolLit, Cmp, EMPTY, EXIT,
-                            If, Neg, NondetChoice, Not, ParseError,
-                            ProbChoice, RatLit, SKIP, Seq, TooManyDigits, Var,
-                            While, parse, parse_aexpr, print_program,
+from pastlab import syntax
+from pastlab.exploration import collapse_to_state_graph
+from pastlab.semantics import initial_state, is_terminal, step
+from pastlab.syntax import (ABin, Assign, BBin, BoolLit, Cmp, EMPTY, Empty,
+                            EXIT, Exit, If, Neg, NondetChoice, Not,
+                            ParseError, ProbChoice, RatLit, SKIP, Seq, Skip,
+                            TooManyDigits, Var, While, parse, parse_aexpr,
+                            print_aexpr, print_bexpr, print_program,
                             print_rational, seq_of, subterms)
-from conftest import random_program
+from conftest import random_active_program, random_program
 
 idents = st.sampled_from(("x", "y", "longer_name2"))
 rationals = st.builds(Fraction, st.integers(0, 9), st.integers(1, 9))
@@ -172,3 +177,121 @@ def test_print_rational_refuses_more_than_4300_digits(value):
 def test_print_rational_prints_4300_digits():
     top = 10 ** 4300 - 1
     assert print_rational(Fraction(-top, top - 1)) == f"-{top}/{top - 1}"
+
+
+# ---------------------------------------------------------------------------
+# Memoised hashes and statement texts
+# ---------------------------------------------------------------------------
+
+def reference_print(p):
+    """The recursive printer print_program must agree with."""
+    if isinstance(p, Empty):
+        return "bot"
+    if isinstance(p, Skip):
+        return "skip"
+    if isinstance(p, Exit):
+        return "exit"
+    if isinstance(p, Assign):
+        return f"{p.var} := {print_aexpr(p.expr)}"
+    if isinstance(p, Seq):
+        return f"{reference_print(p.first)}; {reference_print(p.rest)}"
+    if isinstance(p, ProbChoice):
+        return (f"{{ {reference_print(p.left)} }} <{print_aexpr(p.prob)}> "
+                f"{{ {reference_print(p.right)} }}")
+    if isinstance(p, NondetChoice):
+        return (f"{{ {reference_print(p.left)} }} [] "
+                f"{{ {reference_print(p.right)} }}")
+    if isinstance(p, While):
+        return f"while ({print_bexpr(p.guard)}) {{ {reference_print(p.body)} }}"
+    text = f"if ({print_bexpr(p.guard)}) {{ {reference_print(p.then)} }}"
+    if not isinstance(p.orelse, Empty):
+        text += f" else {{ {reference_print(p.orelse)} }}"
+    return text
+
+
+def residual_programs(program, layers=8):
+    """The programs step reaches from `program` within `layers` steps."""
+    out = [program]
+    frontier = [initial_state(program)]
+    for _ in range(layers):
+        frontier = [succ.state for state in frontier
+                    if not is_terminal(state) for succ in step(state)]
+        out += [state.program for state in frontier]
+    return out
+
+
+def sample_programs(seed):
+    """Fresh terms, none hashed or printed yet: random programs, active
+    loops, and the residual programs step builds from the loops."""
+    rng = random.Random(seed)
+    programs = [random_program(rng, 5) for _ in range(20)]
+    for _ in range(5):
+        programs += residual_programs(random_active_program(rng))
+    return programs
+
+
+def field_tuple(term):
+    return tuple(getattr(term, f.name) for f in fields(term))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hash_is_the_hash_of_the_field_tuple(seed):
+    for program in sample_programs(seed):
+        # Children before parents, so that each hash(term) below is that
+        # term's first, computed from children already checked.
+        for term in reversed(list(subterms(program))):
+            expected = hash(field_tuple(term))
+            assert hash(term) == expected, term
+            assert hash(term) == expected, term
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_equal_terms_built_apart_hash_equal(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        program = random_program(rng, 5)
+        rebuilt = parse(print_program(program))
+        assert rebuilt == program
+        assert hash(rebuilt) == hash(program)
+    for _ in range(5):
+        loop = random_active_program(rng)
+        # Residual programs nest their sequences as step builds them, which
+        # the parser does not, so they are rebuilt by stepping again.
+        once, again = residual_programs(loop), residual_programs(loop)
+        assert once == again
+        assert [hash(p) for p in once] == [hash(p) for p in again]
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_print_program_matches_the_recursive_printer(seed):
+    for program in sample_programs(seed):
+        expected = reference_print(program)
+        assert print_program(program) == expected
+        assert print_program(program) == expected  # from the kept texts
+
+
+def test_print_program_refuses_a_non_program():
+    for term in (RatLit(Fraction(1)), BoolLit(True), 7):
+        with pytest.raises(TypeError):
+            print_program(term)
+
+
+def test_graph_keys_print_each_statement_once(monkeypatch):
+    calls = 0
+    statement_text = syntax._print_statement
+
+    def counting(p):
+        nonlocal calls
+        calls += 1
+        return statement_text(p)
+
+    monkeypatch.setattr(syntax, "_print_statement", counting)
+    # Straight-line, so its only statement nodes are assignments and bot.
+    graph = collapse_to_state_graph(
+        seq_of(Assign("x", RatLit(Fraction(i))) for i in range(300)), 1000)
+    keys = [state.key() for state in graph.states]
+    statements = {id(term) for state in graph.states
+                  for term in subterms(state.program)
+                  if isinstance(term, (Assign, Empty))}
+    assert len(keys) == 600
+    assert 0 < calls <= len(statements) == 301
