@@ -21,14 +21,13 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, List, Optional
 
-from .semantics import (Direction, ExecState, Exit, ProgramState, classify,
-                        head_redex, initial_state, is_terminal, step,
-                        step_all, Kind)  # the tracer patches both steps
+from .semantics import (ONE, Direction, ExecState, Exit, ProgramState,
+                        classify, head_redex, initial_state, is_terminal,
+                        step, step_all, Kind)  # the tracer patches both steps
 from .syntax import NondetChoice, Program, print_rational, subterms
 from .scheduling import Scheduler, iter_partial_schedules  # tracer patches it
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 DEFAULT_NODE_CAP = 500_000
 
@@ -82,9 +81,9 @@ class _MergedLayer:
     memory) as they arrive: one entry per key, carrying the summed prob and
     path count and an empty history.
 
-    A lone entry is not keyed, since hashing a program walks its whole term;
-    nor is a state whose program is too deep to hash, which stays an entry
-    of its own.
+    A lone entry is not keyed, since the first hash of a program recurses
+    once per level of its term; nor is a state whose program is too deep to
+    hash, which stays an entry of its own.
     """
 
     def __init__(self):
@@ -120,12 +119,11 @@ class _MergedLayer:
                  paths) for state, memory, prob, paths in self._groups]
 
 
-def _successors(scheduler, state, memory):
+def _scheduled(scheduler, successors, memory):
     """[(Successor, scheduler memory once its direction is taken)] for a
     walk under `scheduler`: of a nondeterministic step only the arm the
     scheduler picks at `memory`.  Without a scheduler both arms are kept
     and there is no memory."""
-    successors = step(state)
     if scheduler is None:
         return [(succ, None) for succ in successors]
     if successors[0].site is not None:
@@ -138,9 +136,52 @@ def _successors(scheduler, state, memory):
 
 
 def _successor_states(scheduler):
-    """expand for walks whose items are (ExecState, memory) pairs."""
-    return lambda item: [(succ.state, memory)
-                         for succ, memory in _successors(scheduler, *item)]
+    """expand for walks whose items are (ExecState, memory) pairs.
+
+    The walk keeps a transition table: each distinct (program, valuation)
+    is stepped once, at probability 1 with an empty history, and a state
+    that meets it again scales the kept probabilities by its own and
+    extends its history by the kept directions.  The table is keyed by
+    structure, so equal residual programs built apart share one entry (and
+    from then on their successor programs).  The first state too deep to
+    hash drops the table: the rest of the walk steps every state."""
+    table = {}
+
+    def expand(item):
+        nonlocal table
+        state, memory = item
+        # A state at probability ONE (the object initial_state starts from,
+        # which steps that do not split pass through) with an empty history
+        # is its own entry: the kept successors are its successors.
+        own = state.prob is ONE and not state.history
+        kept = None
+        if table is not None:
+            key = (state.program, state.valuation)
+            try:
+                kept = table.get(key)
+            except RecursionError:
+                table = None
+        if kept is None:
+            if table is None:
+                kept, own = step(state), True
+            else:
+                kept = table[key] = step(state if own else ExecState(
+                    state.program, state.valuation, ONE, ()))
+        chosen = _scheduled(scheduler, kept, memory)
+        if own:
+            return [(succ.state, after) for succ, after in chosen]
+        out = []
+        for succ, after in chosen:
+            child = succ.state
+            # A step that does not split passes the probability it was
+            # given through, so only a genuine split scales.
+            prob = state.prob if child.prob is ONE \
+                else state.prob * child.prob
+            out.append((ExecState(child.program, child.valuation, prob,
+                                  state.history + child.history), after))
+        return out
+
+    return expand
 
 
 def _start(scheduler):
@@ -236,7 +277,7 @@ def build_tree(program: Program, scheduler: Scheduler, depth: int,
 
     def expand(item):
         node, memory = item
-        stepped = _successors(scheduler, node.state, memory)
+        stepped = _scheduled(scheduler, step(node.state), memory)
         node.children = [(succ.kind, TreeNode(succ.state, node.depth + 1))
                          for succ, _ in stepped]
         return [(child, after)

@@ -220,50 +220,47 @@ class TerminalStepError(Exception):
     """Raised when asked to step a state whose program is already empty."""
 
 
-def _split(program):
-    """The head redex and the sequence rests pending around it, outermost
-    first: the redex is the program with its Seq spine peeled, or a Seq
-    whose finished first component is discharged next."""
-    rests = []
-    while isinstance(program, Seq) and not isinstance(program.first, Empty):
-        rests.append(program.rest)
-        program = program.first
-    return program, rests
-
-
-def _redex_successors(redex, valuation):
-    """(program, valuation, factor, direction, kind) for each successor of
-    the head redex alone; a factor of None leaves the probability as is."""
-    det = Kind.DETERMINISTIC
-    if isinstance(redex, Assign):
-        value = eval_aexpr(redex.expr, valuation)
-        return [(EMPTY, valuation.set(redex.var, value), None, None, det)]
-    if isinstance(redex, (Skip, Exit)):
-        return [(EMPTY, valuation, None, None, det)]
+def _redex_plan(redex):
+    """The step plan of a head redex with no sequence pending around it."""
+    if isinstance(redex, (Assign, Skip, Exit)):
+        return (redex, EMPTY)
     if isinstance(redex, If):
-        chosen = redex.then if eval_bexpr(redex.guard, valuation) \
-            else redex.orelse
-        return [(chosen, valuation, None, None, det)]
+        return (redex, redex.then, redex.orelse)
     if isinstance(redex, While):
-        if eval_bexpr(redex.guard, valuation):
-            return [(Seq(redex.body, redex), valuation, None, None, det)]
-        return [(EMPTY, valuation, None, None, det)]
-    if isinstance(redex, ProbChoice):
-        p = eval_aexpr(redex.prob, valuation)
-        if p <= 0:
-            return [(redex.right, valuation, None, Direction.Rp,
-                     Kind.PROB_RIGHT)]
-        if p >= 1:
-            return [(redex.left, valuation, None, Direction.Lp,
-                     Kind.PROB_LEFT)]
-        return [(redex.left, valuation, p, Direction.Lp, Kind.PROB_LEFT),
-                (redex.right, valuation, 1 - p, Direction.Rp, Kind.PROB_RIGHT)]
-    if isinstance(redex, NondetChoice):
-        return [(redex.left, valuation, None, Direction.Ln, Kind.NONDET),
-                (redex.right, valuation, None, Direction.Rn, Kind.NONDET)]
+        return (redex, Seq(redex.body, redex), EMPTY)
+    if isinstance(redex, (ProbChoice, NondetChoice)):
+        return (redex, redex.left, redex.right)
     if isinstance(redex, Seq):  # its first component has finished
-        return [(redex.rest, valuation, None, None, det)]
+        return (redex, redex.rest)
     raise TerminalStepError(f"cannot step program {redex!r}")
+
+
+def _plan(program):
+    """The step plan of a non-terminal program, computed once and kept on
+    the node: (redex, successor program, ...), where the redex is the
+    program with its Seq spine peeled (or a Seq whose finished first
+    component is discharged next) and each successor program is already
+    wrapped in the sequence rests pending around the redex.  The
+    successors are the chosen branch when the guard holds and when it does
+    not (if, while), or the left and right arm (<p>, []); any other redex
+    has one.  Every Seq of the spine keeps its own plan too."""
+    plan = program._plan
+    if plan is not None:
+        return plan
+    spine = []
+    while isinstance(program, Seq) and not isinstance(program.first, Empty) \
+            and program._plan is None:
+        spine.append(program)
+        program = program.first
+    plan = program._plan
+    if plan is None:
+        plan = _redex_plan(program)
+        object.__setattr__(program, "_plan", plan)
+    for seq in reversed(spine):
+        if not isinstance(plan[0], Exit):  # exit collapses every pending rest
+            plan = (plan[0], *[Seq(after, seq.rest) for after in plan[1:]])
+        object.__setattr__(seq, "_plan", plan)
+    return plan
 
 
 def step(state: ExecState) -> StepOutcome:
@@ -272,25 +269,49 @@ def step(state: ExecState) -> StepOutcome:
     Returns one successor, or two: for a genuine probabilistic split, whose
     successor probabilities sum to the parent's, and for a nondeterministic
     choice, whose two arms each keep the parent's probability and name the
-    choice as their site.
+    choice as their site.  The successor programs come from the program's
+    plan, so stepping one program object twice returns the same ones.
     """
     if is_terminal(state):
         raise TerminalStepError("cannot step a terminal state")
-    redex, rests = _split(state.program)
-    if isinstance(redex, Exit):  # exit collapses every pending rest
-        rests = ()
-    out = []
-    site = redex if isinstance(redex, NondetChoice) else None
-    for program, valuation, factor, direction, kind in _redex_successors(
-            redex, state.valuation):
-        for rest in reversed(rests):
-            program = Seq(program, rest)
-        prob = state.prob if factor is None else state.prob * factor
-        history = state.history if direction is None \
-            else state.history + (direction,)
-        out.append(Successor(ExecState(program, valuation, prob, history),
-                             kind, direction, site))
-    return out
+    plan = _plan(state.program)
+    redex = plan[0]
+    valuation, prob, history = state.valuation, state.prob, state.history
+    det = Kind.DETERMINISTIC
+    if isinstance(redex, Assign):
+        valuation = valuation.set(redex.var,
+                                  eval_aexpr(redex.expr, valuation))
+    elif isinstance(redex, (If, While)):
+        chosen = plan[1] if eval_bexpr(redex.guard, valuation) else plan[2]
+        return [Successor(ExecState(chosen, valuation, prob, history),
+                          det, None, None)]
+    elif isinstance(redex, ProbChoice):
+        left, right = plan[1], plan[2]
+        p = eval_aexpr(redex.prob, valuation)
+        if p <= 0:
+            return [Successor(ExecState(right, valuation, prob,
+                                        history + (Direction.Rp,)),
+                              Kind.PROB_RIGHT, Direction.Rp, None)]
+        if p >= 1:
+            return [Successor(ExecState(left, valuation, prob,
+                                        history + (Direction.Lp,)),
+                              Kind.PROB_LEFT, Direction.Lp, None)]
+        return [Successor(ExecState(left, valuation, prob * p,
+                                    history + (Direction.Lp,)),
+                          Kind.PROB_LEFT, Direction.Lp, None),
+                Successor(ExecState(right, valuation, prob * (1 - p),
+                                    history + (Direction.Rp,)),
+                          Kind.PROB_RIGHT, Direction.Rp, None)]
+    elif isinstance(redex, NondetChoice):
+        left, right = plan[1], plan[2]
+        return [Successor(ExecState(left, valuation, prob,
+                                    history + (Direction.Ln,)),
+                          Kind.NONDET, Direction.Ln, redex),
+                Successor(ExecState(right, valuation, prob,
+                                    history + (Direction.Rn,)),
+                          Kind.NONDET, Direction.Rn, redex)]
+    return [Successor(ExecState(plan[1], valuation, prob, history),
+                      det, None, None)]
 
 
 step_all = step
@@ -298,7 +319,7 @@ step_all = step
 
 def head_redex(program: Program) -> Program:
     """The subprogram the next step will act on (Seq spines peeled)."""
-    return _split(program)[0]
+    return program if isinstance(program, Empty) else _plan(program)[0]
 
 
 def classify(ps: ProgramState) -> str:

@@ -26,7 +26,7 @@ arithmetic expressions evaluated at run time; rational literals are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Union
 
@@ -34,16 +34,22 @@ from typing import Union
 # (sys.int_info.default_max_str_digits); longer literals are refused.
 MAX_DIGITS = 4300
 
+# Field annotations of the values in a term that are not terms themselves.
+_ATOMS = ("str", "bool", "Fraction")
+
 
 def _term(cls):
     """A frozen dataclass whose structural hash, and (for a program node
     other than Seq) whose printed text, are computed at most once and kept
     on the node: the memo half of hash-consing (Filliâtre and Conchon,
-    "Type-Safe Modular Hash-Consing", ML Workshop 2006).
+    "Type-Safe Modular Hash-Consing", ML Workshop 2006).  A program node
+    also keeps the step plan semantics computes for it (`_plan`).
 
     The hash is that of the field tuple, as the generated dataclass hash
     is, so every dict and set keeps its order.  Its first computation
-    recurses one Python frame per level of the term, as that one does."""
+    recurses one Python frame per level of the term, as that one does.
+    The names of the fields that hold terms are kept on the class, in
+    declaration order (`_term_fields`)."""
     cls = dataclass(frozen=True)(cls)
     names = tuple(f.name for f in fields(cls))
 
@@ -55,8 +61,11 @@ def _term(cls):
         return value
 
     cls.__hash__ = __hash__
+    cls._term_fields = tuple(f.name for f in fields(cls)
+                             if f.type not in _ATOMS)
     cls._hash = None
     cls._text = None
+    cls._plan = None
     return cls
 
 
@@ -185,8 +194,7 @@ EXIT = Exit()
 
 def term_fields(term) -> list:
     """(name, value) for each field of a term that holds a term."""
-    pairs = [(f.name, getattr(term, f.name)) for f in fields(term)]
-    return [(name, value) for name, value in pairs if is_dataclass(value)]
+    return [(name, getattr(term, name)) for name in term._term_fields]
 
 
 def subterms(term):
@@ -197,7 +205,8 @@ def subterms(term):
     while stack:
         term = stack.pop()
         yield term
-        stack.extend(value for _, value in reversed(term_fields(term)))
+        stack.extend([getattr(term, name)
+                      for name in reversed(term._term_fields)])
 
 
 def seq_of(stmts) -> Program:

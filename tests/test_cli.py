@@ -8,9 +8,10 @@ import pytest
 
 from pastlab import exploration
 from pastlab.cli import _build_parser, main
-from pastlab.exploration import StateGraph
+from pastlab.exploration import StateGraph, build_tree
 from pastlab.certificates import RsmCert, in_loop_rsm_from_bound
 from pastlab.scheduling import parse_scheduler_spec
+from pastlab.semantics import is_terminal
 from pastlab.syntax import parse, print_rational
 
 GEOMETRIC = "while (x = 0) { { skip } <1/2> { exit } }\n"
@@ -352,6 +353,75 @@ def test_memoryless_run_merges_equal_states(monkeypatch, capsys):
         assert calls < 400
     assert "(6864 states)" in outputs[0]
     assert outputs[1] == outputs[0]
+
+
+def _counting_step(monkeypatch):
+    """The states exploration steps from now on, in order."""
+    stepped = []
+    real_step = exploration.step
+
+    def counting_step(state):
+        stepped.append(state)
+        return real_step(state)
+
+    monkeypatch.setattr(exploration, "step", counting_step)
+    return stepped
+
+
+def _live_states(program, scheduler, depth):
+    """The distinct (program, valuation) pairs of the live states at depths
+    0..depth-1 of the execution tree, and the sum over those depths of the
+    distinct pairs at each."""
+    tree = build_tree(program, parse_scheduler_spec(scheduler), depth)
+    per_depth = [{(node.state.program, node.state.valuation)
+                  for node in level if not is_terminal(node.state)}
+                 for level in tree.levels[:depth]]
+    return len(set().union(*per_depth)), sum(map(len, per_depth))
+
+
+@pytest.mark.parametrize("source, distinct, per_depth", [
+    pytest.param(pathlib.Path(RANDOM_WALK).read_text(), 76, 319,
+                 id="random-walk"),
+    # The inner loop's residuals are rebuilt, equal but apart, on every
+    # iteration; its coin reaches the same y at different depths.
+    pytest.param("x := 2; while (x > 0) { y := 2; "
+                 "while (y > 0) { { y := y - 1 } <1/2> { skip } }; "
+                 "{ x := x - 1 } [] { skip } }", 41, 388, id="inner-while"),
+])
+def test_run_steps_each_distinct_state_once(tmp_path, monkeypatch, capsys,
+                                            source, distinct, per_depth):
+    # per_depth is what a run makes that steps each depth's distinct
+    # states apart.
+    path = tmp_path / "loop.pgcl"
+    path.write_text(source)
+    assert _live_states(parse(source), "const:Ln", 60) == \
+        (distinct, per_depth)
+    stepped = _counting_step(monkeypatch)
+    assert main(["run", str(path), "--depth", "60",
+                 "--scheduler", "const:Ln"]) == 0
+    assert len(stepped) == distinct
+    assert len({(st.program, st.valuation) for st in stepped}) == distinct
+    assert "states)" in capsys.readouterr().out
+
+
+def test_run_steps_a_program_too_deep_to_hash_once_per_depth(
+        tmp_path, monkeypatch, capsys):
+    path = tmp_path / "long.pgcl"
+    path.write_text(_assignments(700) + "\n")
+    with pytest.raises(RecursionError):
+        hash(parse(_assignments(700)))
+    stepped = _counting_step(monkeypatch)
+    assert main(["run", str(path), "--depth", "60"]) == 0
+    assert capsys.readouterr().out == (
+        "depth: 60\nterminal mass: 0\nfrontier mass: 1 (1 states)\n")
+    assert len(stepped) == 60
+    assert main(["run", str(path), "--depth", "60", "--format", "json"]) == 0
+    state = {"program": _assignments(700, start=30),
+             "valuation": {"x": "29"}, "prob": "1", "history": "",
+             "paths": 1}
+    expected = {"depth": 60, "terminal_mass": "0", "frontier_mass": "1",
+                "frontier_states": [state]}
+    assert capsys.readouterr() == (json.dumps(expected) + "\n", "")
 
 
 def test_deep_random_walk_run_counts_distinct_states(capsys):

@@ -1,13 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from pastlab.semantics import (Direction, ExecState, Kind, TerminalStepError,
-                               Valuation, classify, eval_aexpr, eval_bexpr,
+from pastlab.semantics import (Direction, EMPTY_VALUATION, ExecState, Kind,
+                               Successor, TerminalStepError, Valuation,
+                               classify, eval_aexpr, eval_bexpr,
                                exec_state_from_json, initial_state,
                                is_terminal, step)
-from pastlab.syntax import parse, parse_aexpr, parse_bexpr
-from conftest import random_program
+from pastlab.syntax import (EMPTY, Assign, Empty, Exit, If, NondetChoice,
+                            ProbChoice, Seq, Skip, While, parse, parse_aexpr,
+                            parse_bexpr)
+from conftest import random_active_program, random_program
 
 
 def val(**kwargs):
@@ -183,3 +187,116 @@ def test_exec_state_json_round_trip():
     assert back.prob == left.state.prob
     assert back.history == left.state.history
     assert back.valuation == left.state.valuation
+
+
+# ---------------------------------------------------------------------------
+# Step plans against the reference stepper
+# ---------------------------------------------------------------------------
+
+def reference_split(program):
+    """The head redex and the sequence rests pending around it, outermost
+    first: the redex is the program with its Seq spine peeled, or a Seq
+    whose finished first component is discharged next."""
+    rests = []
+    while isinstance(program, Seq) and not isinstance(program.first, Empty):
+        rests.append(program.rest)
+        program = program.first
+    return program, rests
+
+
+def reference_redex_successors(redex, valuation):
+    """(program, valuation, factor, direction, kind) for each successor of
+    the head redex alone; a factor of None leaves the probability as is."""
+    det = Kind.DETERMINISTIC
+    if isinstance(redex, Assign):
+        value = eval_aexpr(redex.expr, valuation)
+        return [(EMPTY, valuation.set(redex.var, value), None, None, det)]
+    if isinstance(redex, (Skip, Exit)):
+        return [(EMPTY, valuation, None, None, det)]
+    if isinstance(redex, If):
+        chosen = redex.then if eval_bexpr(redex.guard, valuation) \
+            else redex.orelse
+        return [(chosen, valuation, None, None, det)]
+    if isinstance(redex, While):
+        if eval_bexpr(redex.guard, valuation):
+            return [(Seq(redex.body, redex), valuation, None, None, det)]
+        return [(EMPTY, valuation, None, None, det)]
+    if isinstance(redex, ProbChoice):
+        p = eval_aexpr(redex.prob, valuation)
+        if p <= 0:
+            return [(redex.right, valuation, None, Direction.Rp,
+                     Kind.PROB_RIGHT)]
+        if p >= 1:
+            return [(redex.left, valuation, None, Direction.Lp,
+                     Kind.PROB_LEFT)]
+        return [(redex.left, valuation, p, Direction.Lp, Kind.PROB_LEFT),
+                (redex.right, valuation, 1 - p, Direction.Rp, Kind.PROB_RIGHT)]
+    if isinstance(redex, NondetChoice):
+        return [(redex.left, valuation, None, Direction.Ln, Kind.NONDET),
+                (redex.right, valuation, None, Direction.Rn, Kind.NONDET)]
+    assert isinstance(redex, Seq)  # its first component has finished
+    return [(redex.rest, valuation, None, None, det)]
+
+
+def reference_step(state):
+    """The stepper step must agree with: split off the head redex, apply
+    the rule to it alone, and wrap each successor in the pending rests."""
+    redex, rests = reference_split(state.program)
+    if isinstance(redex, Exit):  # exit collapses every pending rest
+        rests = ()
+    out = []
+    site = redex if isinstance(redex, NondetChoice) else None
+    for program, valuation, factor, direction, kind in \
+            reference_redex_successors(redex, state.valuation):
+        for rest in reversed(rests):
+            program = Seq(program, rest)
+        prob = state.prob if factor is None else state.prob * factor
+        history = state.history if direction is None \
+            else state.history + (direction,)
+        out.append(Successor(ExecState(program, valuation, prob, history),
+                             kind, direction, site))
+    return out
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_step_matches_the_reference_stepper(seed):
+    rng = random.Random(seed)
+    programs = [random_program(rng, 5) for _ in range(25)]
+    programs += [random_active_program(rng) for _ in range(10)]
+    for program in programs:
+        # A root with a probability and a history of its own, so that the
+        # scaling and the extension of both show.
+        frontier = [ExecState(program, EMPTY_VALUATION, Fraction(2, 3),
+                              (Direction.Rp,))]
+        for _ in range(8):  # the program and 8 layers of its residuals
+            layer = []
+            for state in frontier:
+                if is_terminal(state):
+                    continue
+                want = reference_step(state)
+                got = step(state)
+                assert got == want, state
+                assert [s.site for s in got] == [s.site for s in want]
+                assert all(a.site is b.site for a, b in zip(got, want))
+                layer += [succ.state for succ in got]
+            frontier = layer
+
+
+@pytest.mark.parametrize("seed", [14, 15])
+def test_stepping_a_program_twice_returns_the_same_programs(seed):
+    rng = random.Random(seed)
+    for _ in range(5):
+        loop = random_active_program(rng)
+        frontier = [initial_state(loop)]
+        for _ in range(8):
+            layer = []
+            for state in frontier:
+                if is_terminal(state):
+                    continue
+                once, again = step(state), step(state)
+                assert [s.state.program for s in once] == \
+                    [s.state.program for s in again]
+                assert all(a.state.program is b.state.program
+                           for a, b in zip(once, again))
+                layer += [succ.state for succ in once]
+            frontier = layer
