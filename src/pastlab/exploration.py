@@ -297,7 +297,9 @@ class MassProfile:
     """Per-depth accounting of one bounded run.
 
     hit_mass[d] is the probability mass first absorbed at depth d (reaching a
-    terminal state, or the target for reachability runs).  dead_mass is mass
+    terminal state, or the target for reachability runs).  It has one entry
+    per explored depth, so it ends where the walk did: no mass is absorbed
+    at a depth past its end.  dead_mass is mass
     that terminated without ever hitting the target and so never will.
     frontier holds the live states at the final explored depth: one per
     distinct (program state, scheduler memory), with the probabilities of
@@ -324,13 +326,14 @@ class MassProfile:
 def run_masses(program: Program, scheduler: Scheduler, depth: int,
                target: Optional[Callable[[ProgramState], bool]] = None,
                node_cap: int = DEFAULT_NODE_CAP) -> MassProfile:
-    hit = [ZERO] * (depth + 1)
+    hit = []
     dead = ZERO
     frontier = []
 
     def visit(d, layer):
         nonlocal dead, frontier
         frontier = []
+        hit.append(ZERO)
         for entry in layer:
             st = entry[0][0]
             if target is not None and target(st.program_state()):
@@ -370,10 +373,13 @@ class RuntimeBounds:
 def _series_bounds(profile: MassProfile, k: int) -> RuntimeBounds:
     lower = ZERO
     cum = ZERO
-    for j in range(k):
-        if j <= profile.depth:
-            cum += profile.hit_mass[j]
+    explored = min(k, len(profile.hit_mass))
+    for j in range(explored):
+        cum += profile.hit_mass[j]
         lower += ONE - cum
+    # Past the explored depths nothing more is absorbed: each later term
+    # of the series is the same.
+    lower += (k - explored) * (ONE - cum)
     closed = not profile.frontier and profile.dead_mass == 0
     return RuntimeBounds(lower, lower if closed else None, closed)
 

@@ -17,6 +17,7 @@ rooted-tree isomorphism, exposed through canonical shapes.
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -265,8 +266,18 @@ def play_round(h: HydraState, leaf: tuple, evolutions: int) -> List[RoundOutcome
     subtree = removed
     for i in parent_path:
         subtree = subtree.children[i]
-    new_capacity = h.n * 4 ** evolutions
-    grown = _attach(removed, grandparent_path, subtree, new_capacity - 1)
+    try:
+        # A tuple holds at most sys.maxsize items, which 4**evolutions alone
+        # passes once 2 * evolutions reaches its bit length: the power is
+        # only computed below that.
+        if 2 * evolutions >= sys.maxsize.bit_length() \
+                or h.n * 4 ** evolutions - 1 > sys.maxsize:
+            raise MemoryError
+        new_capacity = h.n * 4 ** evolutions
+        grown = _attach(removed, grandparent_path, subtree, new_capacity - 1)
+    except MemoryError:
+        raise HydraError(f"{evolutions} evolutions regrow more copies "
+                         f"than fit in memory") from None
     outcomes = [RoundOutcome(True, Fraction(1, 2 ** evolutions),
                              HydraState(grown, new_capacity),
                              round_steps(h, leaf, evolutions, survived=True))]

@@ -12,6 +12,7 @@ part, "w" as shorthand for w^(1)*1.  Example: "w^(w)*1 + w^(1)*3 + 2".
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import total_ordering
 
@@ -188,22 +189,19 @@ def parse_ordinal(text: str) -> Ordinal:
     return result
 
 
+# Spaces, a token (an integer or a symbol), or a character of neither.
+# `\d` is what int() reads; str.isdigit would also take such digits as
+# '²', which int() refuses.
+_ORDINAL_TOKEN = re.compile(r"\s+|(?P<token>\d+|[w^(*)+])|(?P<bad>.)",
+                            re.DOTALL)
+
+
 def _tokenize_ordinal(text: str):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch in "w^(*)+":
-            tokens.append(ch)
-            i += 1
-        else:
-            raise OrdinalParseError(f"bad character {ch!r} in ordinal {text!r}")
+    for match in _ORDINAL_TOKEN.finditer(text):
+        if match["bad"] is not None:
+            raise OrdinalParseError(
+                f"bad character {match['bad']!r} in ordinal {text!r}")
+        if match["token"] is not None:
+            tokens.append(match["token"])
     return tokens

@@ -26,6 +26,7 @@ arithmetic expressions evaluated at run time; rational literals are exact.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Union
@@ -242,8 +243,18 @@ class ParseError(ValueError):
 KEYWORDS = {"skip", "exit", "bot", "while", "if", "else", "true", "false",
             "not", "and", "or"}
 
-_PUNCT = ("[]", ":=", "!=", "<=", ">=", ";", "{", "}", "(", ")",
-          "<", ">", "=", "+", "-", "*", "/")
+# One named group per token kind, tried in order; the classes are ASCII
+# only.  Two-character punctuation comes before its one-character prefix,
+# and `bad` takes any character nothing else does.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>[ \t\r]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<int>[0-9]+)
+  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+  | (?P<punct>\[\]|:=|!=|<=|>=|[;{}()<>=+\-*/])
+  | (?P<bad>.)
+""", re.VERBOSE)
 
 
 @dataclass(frozen=True)
@@ -255,58 +266,39 @@ class Token:
 
 
 def tokenize(source: str):
+    """The tokens of `source`, ending with an 'eof' token.  Columns count
+    characters from 1, except that a comment does not advance them: the
+    'eof' token after a trailing comment sits where the comment starts."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    end = 0  # where the last token, space or newline ended
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        column = match.start() - line_start + 1
+        if kind == "newline":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch.isascii() and ch.isdigit():
-            j = i
-            while j < n and source[j].isascii() and source[j].isdigit():
-                j += 1
-            tokens.append(Token("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isascii() and ch.isalpha():
-            j = i
-            while j < n and source[j].isascii() \
-                    and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            line_start = match.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {match.group()!r}",
+                             line, column)
+        elif kind != "space" and kind != "comment":
+            text = match.group()
+            if kind == "ident" and text in KEYWORDS:
+                kind = "kw"
+            tokens.append(Token(kind, text, line, column))
+        if kind != "comment":
+            end = match.end()
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+# The statements that are a single keyword.
+_KEYWORD_STATEMENTS = {"skip": SKIP, "exit": EXIT, "bot": EMPTY}
+
 
 class _Parser:
     def __init__(self, tokens):
@@ -322,78 +314,62 @@ class _Parser:
         what = "end of input" if tok.kind == "eof" else repr(tok.text)
         raise ParseError(f"unexpected {what}", tok.line, tok.column, expected)
 
-    def at(self, text) -> bool:
-        return self.cur.text == text and self.cur.kind in ("punct", "kw")
+    def accept(self, text) -> bool:
+        """Step over the current token if its text is `text`, a keyword or
+        punctuation, which no identifier, integer or 'eof' token has."""
+        if self.tokens[self.pos].text == text:
+            self.pos += 1
+            return True
+        return False
 
-    def eat(self, text) -> Token:
-        if not self.at(text):
+    def eat(self, text):
+        if not self.accept(text):
             self.error([repr(text)])
-        tok = self.cur
-        self.pos += 1
-        return tok
 
     # -- programs ----------------------------------------------------------
 
-    def program(self) -> Program:
+    def program(self, close=None) -> Program:
+        """Statements, then the token `close` (a block's '}') if given."""
         stmts = [self.stmt()]
-        while self.at(";"):
-            self.eat(";")
+        while self.accept(";"):
             stmts.append(self.stmt())
+        if close is not None:
+            self.eat(close)
         return seq_of(stmts)
 
     def stmt(self) -> Program:
         tok = self.cur
-        if self.at("skip"):
-            self.eat("skip")
-            return SKIP
-        if self.at("exit"):
-            self.eat("exit")
-            return EXIT
-        if self.at("bot"):
-            self.eat("bot")
-            return EMPTY
-        if self.at("while"):
-            self.eat("while")
+        node = _KEYWORD_STATEMENTS.get(tok.text)
+        if node is not None:
+            self.pos += 1
+            return node
+        if self.accept("while"):
             self.eat("(")
             guard = self.bexpr()
             self.eat(")")
             self.eat("{")
-            body = self.program()
-            self.eat("}")
-            return While(guard, body)
-        if self.at("if"):
-            self.eat("if")
+            return While(guard, self.program("}"))
+        if self.accept("if"):
             self.eat("(")
             guard = self.bexpr()
             self.eat(")")
             self.eat("{")
-            then = self.program()
-            self.eat("}")
+            then = self.program("}")
             orelse: Program = EMPTY
-            if self.at("else"):
-                self.eat("else")
+            if self.accept("else"):
                 self.eat("{")
-                orelse = self.program()
-                self.eat("}")
+                orelse = self.program("}")
             return If(guard, then, orelse)
-        if self.at("{"):
-            self.eat("{")
-            left = self.program()
-            self.eat("}")
-            if self.at("[]"):
-                self.eat("[]")
+        if self.accept("{"):
+            left = self.program("}")
+            if self.accept("[]"):
                 self.eat("{")
-                right = self.program()
-                self.eat("}")
-                return NondetChoice(left, right)
-            if self.at("<"):
-                self.eat("<")
+                return NondetChoice(left, self.program("}"))
+            if self.accept("<"):
                 prob = self.aexpr()
                 self.eat(">")
                 self.eat("{")
-                right = self.program()
-                self.eat("}")
-                return ProbChoice(left, prob, right)
+                return ProbChoice(left, prob, self.program("}"))
             self.error(["'[]'", "'<'"])
         if tok.kind == "ident":
             self.pos += 1
@@ -404,11 +380,8 @@ class _Parser:
     # -- arithmetic expressions (precedence: unary -, then *, then + -) -----
 
     def aexpr(self) -> AExpr:
-        return self.additive()
-
-    def additive(self) -> AExpr:
         left = self.multiplicative()
-        while self.at("+") or self.at("-"):
+        while self.cur.text in ("+", "-"):
             op = self.cur.text
             self.pos += 1
             left = ABin(op, left, self.multiplicative())
@@ -416,14 +389,12 @@ class _Parser:
 
     def multiplicative(self) -> AExpr:
         left = self.unary()
-        while self.at("*"):
-            self.eat("*")
+        while self.accept("*"):
             left = ABin("*", left, self.unary())
         return left
 
     def unary(self) -> AExpr:
-        if self.at("-"):
-            self.eat("-")
+        if self.accept("-"):
             return Neg(self.unary())
         return self.atom()
 
@@ -438,8 +409,7 @@ class _Parser:
         if tok.kind == "int":
             self.pos += 1
             num = self.integer(tok)
-            if self.at("/"):
-                self.eat("/")
+            if self.accept("/"):
                 dtok = self.cur
                 if dtok.kind != "int":
                     self.error(["integer denominator"])
@@ -453,8 +423,7 @@ class _Parser:
         if tok.kind == "ident":
             self.pos += 1
             return Var(tok.text)
-        if self.at("("):
-            self.eat("(")
+        if self.accept("("):
             inner = self.aexpr()
             self.eat(")")
             return inner
@@ -464,35 +433,29 @@ class _Parser:
 
     def bexpr(self) -> BExpr:
         left = self.b_and()
-        while self.at("or"):
-            self.eat("or")
+        while self.accept("or"):
             left = BBin("or", left, self.b_and())
         return left
 
     def b_and(self) -> BExpr:
         left = self.b_not()
-        while self.at("and"):
-            self.eat("and")
+        while self.accept("and"):
             left = BBin("and", left, self.b_not())
         return left
 
     def b_not(self) -> BExpr:
-        if self.at("not"):
-            self.eat("not")
+        if self.accept("not"):
             return Not(self.b_not())
         return self.b_atom()
 
     def b_atom(self) -> BExpr:
-        if self.at("true"):
-            self.eat("true")
+        if self.accept("true"):
             return BoolLit(True)
-        if self.at("false"):
-            self.eat("false")
+        if self.accept("false"):
             return BoolLit(False)
-        if self.at("("):
+        mark = self.pos
+        if self.accept("("):
             # Could be a parenthesised bexpr or the left arm of a comparison.
-            mark = self.pos
-            self.eat("(")
             try:
                 inner = self.bexpr()
                 self.eat(")")
@@ -501,35 +464,31 @@ class _Parser:
                 self.pos = mark
         left = self.aexpr()
         for op in ("!=", "<=", ">=", "=", "<", ">"):
-            if self.at(op):
-                self.eat(op)
+            if self.accept(op):
                 return Cmp(op, left, self.aexpr())
         self.error(["comparison operator"])
 
 
+def _parse_all(source: str, rule, expected):
+    """rule's tree for all of source; `expected` may follow the tree."""
+    parser = _Parser(tokenize(source))
+    tree = rule(parser)
+    if parser.cur.kind != "eof":
+        parser.error(expected)
+    return tree
+
+
 def parse(source: str) -> Program:
     """Parse pGCL source text into a Program, or raise ParseError."""
-    parser = _Parser(tokenize(source))
-    prog = parser.program()
-    if parser.cur.kind != "eof":
-        parser.error(["';'", "end of input"])
-    return prog
+    return _parse_all(source, _Parser.program, ["';'", "end of input"])
 
 
 def parse_aexpr(source: str) -> AExpr:
-    parser = _Parser(tokenize(source))
-    expr = parser.aexpr()
-    if parser.cur.kind != "eof":
-        parser.error(["end of input"])
-    return expr
+    return _parse_all(source, _Parser.aexpr, ["end of input"])
 
 
 def parse_bexpr(source: str) -> BExpr:
-    parser = _Parser(tokenize(source))
-    expr = parser.bexpr()
-    if parser.cur.kind != "eof":
-        parser.error(["end of input"])
-    return expr
+    return _parse_all(source, _Parser.bexpr, ["end of input"])
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def test_criterion_03_geometric_runtime_envelope():
         lower = Fraction(0)
         cumulative = Fraction(0)
         for j in range(k):
-            cumulative += full.hit_mass[j] if j <= full.depth else 0
+            cumulative += full.hit_mass[j] if j < len(full.hit_mass) else 0
             lower += 1 - cumulative
         assert lower >= previous
         previous = lower

@@ -51,6 +51,16 @@ def test_runtime_output(geometric_file, capsys):
     assert "closed: false" in out
 
 
+def test_runtime_past_the_end_of_the_walk(tmp_path, capsys):
+    # The walk ends after one step; the requested depth costs nothing more.
+    path = tmp_path / "one.pgcl"
+    path.write_text("x := 1\n")
+    started = time.time()
+    assert main(["runtime", str(path), "--depth", "10000000"]) == 0
+    assert time.time() - started < 1
+    assert capsys.readouterr().out.endswith("closed: true\nexact: 1\n")
+
+
 def test_runtime_decimal_flag(geometric_file, capsys):
     assert main(["runtime", geometric_file, "--depth", "16",
                  "--decimal"]) == 0
@@ -290,6 +300,28 @@ def test_hydra_play_head_on_the_root_takes_no_evolutions(capsys):
     out = capsys.readouterr().out
     assert out.count("with 0 evolutions") == 2
     assert "illegal move" not in out
+    assert out.endswith("the hydra is dead: Hercules wins\n")
+
+
+@pytest.mark.parametrize("evolutions", ["40", "1000000000"])
+def test_hydra_play_too_many_copies_is_an_illegal_move(capsys, evolutions):
+    # n * 4**evolutions - 1 copies fit no tuple: refused before the power
+    # is computed, so even 10**9 evolutions answer at once.
+    started = time.time()
+    assert main(["hydra", "play", "--tree", "((()))", "--hercules",
+                 "leftmost-deepest", "--evolutions", evolutions]) == 2
+    out = capsys.readouterr().out
+    assert time.time() - started < 1
+    assert out.endswith(f"illegal move: {evolutions} evolutions regrow more "
+                        f"copies than fit in memory\n")
+
+
+def test_hydra_play_too_many_copies_is_asked_again(monkeypatch, capsys):
+    inputs = iter(["0.0", "1000000000", "0.0", "0"] + ["0", "0"] * 4)
+    monkeypatch.setattr("builtins.input", lambda *args: next(inputs))
+    assert main(["hydra", "play", "--tree", "((()))"]) == 0
+    out = capsys.readouterr().out
+    assert "illegal move: 1000000000 evolutions" in out
     assert out.endswith("the hydra is dead: Hercules wins\n")
 
 

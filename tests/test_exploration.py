@@ -170,6 +170,12 @@ def per_path_reference(tree, scheduler, target=None):
     return hit, dead, live, paths, [len(keys) for keys in generated]
 
 
+def padded(hit_mass, depth):
+    """hit_mass with a zero for each depth up to `depth` past its end, where
+    nothing was absorbed."""
+    return hit_mass + [Fraction(0)] * (depth + 1 - len(hit_mass))
+
+
 def merged_frontier(profile):
     live = {}
     for st, memory in zip(profile.frontier, profile.frontier_memory):
@@ -201,7 +207,7 @@ def test_merged_run_masses_match_per_path_tree(rng):
             hit, _, live, paths, generated = per_path_reference(tree,
                                                                 scheduler)
             profile = run_masses(program, scheduler, depth)
-            assert profile.hit_mass == hit
+            assert padded(profile.hit_mass, depth) == hit
             assert merged_frontier(profile) == live
             assert profile.frontier_mass() == sum(live.values(), Fraction(0))
             assert sum(profile.frontier_paths) == paths
@@ -212,7 +218,7 @@ def test_merged_run_masses_match_per_path_tree(rng):
                     tree, scheduler, target)
                 profile = run_masses(program, scheduler, depth,
                                      target=target)
-                assert profile.hit_mass == hit
+                assert padded(profile.hit_mass, depth) == hit
                 assert profile.dead_mass == dead
                 assert merged_frontier(profile) == live
                 assert sum(profile.frontier_paths) == paths
@@ -267,6 +273,33 @@ def test_exp_runtime_straight_line():
     # One assign inside the sequence, the discharge step, the second assign.
     bounds = exp_runtime_bounds(parse("x := 1; x := 2"), constant(Ln), 10)
     assert bounds.closed and bounds.exact == 3
+
+
+def test_hit_mass_ends_where_the_walk_does():
+    # The walk ends after the one assignment, so a depth of ten million
+    # costs two entries, not one per requested depth.
+    profile = run_masses(parse("x := 1"), constant(Ln), 10 ** 7)
+    assert profile.hit_mass == [0, 1]
+    assert profile.cumulative_hit(10 ** 7) == 1
+    bounds = exp_runtime_bounds(parse("x := 1"), constant(Ln), 10 ** 7)
+    assert bounds.closed and bounds.exact == 1
+
+
+def test_series_tail_past_the_walk():
+    # Half the mass reaches x = 5 and half ends without it, so the walk
+    # ends after a few depths and every later term of the reach-time
+    # series is the last one repeated: 1/2.
+    program = parse("{ x := 5 } <1/2> { skip }")
+    target = lambda ps: ps.valuation.get("x") == 5
+    hit_mass = run_masses(program, constant(Ln), 100, target=target).hit_mass
+    assert len(hit_mass) < 10
+    for k in (0, 1, 2, 5, 10, 100, 10 ** 7):
+        terms = [1 - sum(hit_mass[:j + 1]) for j in range(min(k, 100))]
+        tail = terms[len(hit_mass):]
+        assert tail == [Fraction(1, 2)] * len(tail)
+        expected = sum(terms) + (k - len(terms)) * Fraction(1, 2)
+        bounds = exp_reach_runtime_bounds(program, constant(Ln), target, k)
+        assert bounds.lower == expected and not bounds.closed
 
 
 def test_exp_runtime_spin_grows_linearly():

@@ -55,6 +55,16 @@ def test_json_round_trip():
     assert isomorphic(back.tree, state.tree)
 
 
+def test_play_round_refuses_copies_past_sys_maxsize():
+    # 4 * 4**30 - 1 copies fit a tuple length but not memory: CPython
+    # refuses a tuple that large with MemoryError before allocating it.
+    # 4 * 4**31 - 1 do not fit a tuple length, and the refusal comes before
+    # 4**10**9 is computed.
+    for evolutions in (30, 31, 40, 10 ** 9):
+        with pytest.raises(HydraError, match="more copies than fit"):
+            play_round(LINE, (0, 0), evolutions)
+
+
 def test_play_round_line_no_evolutions():
     outcomes = play_round(LINE, (0, 0), 0)
     assert len(outcomes) == 1

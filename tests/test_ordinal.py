@@ -87,6 +87,16 @@ def test_parse_errors():
             parse_ordinal(bad)
 
 
+def test_digits_int_cannot_read_are_bad_characters():
+    # '²' and '①' are digits to str.isdigit but not to int().
+    for bad, char in (("²", "²"), ("1²", "²"), ("w*²", "²"), ("w^(①)", "①")):
+        with pytest.raises(OrdinalParseError,
+                           match=f"bad character '{char}'"):
+            parse_ordinal(bad)
+    # Decimal digits of any script are read as int() reads them.
+    assert parse_ordinal("w*\u0663 + \u0661") == parse_ordinal("w*3 + 1")
+
+
 def test_laws_randomized(rng):
     for _ in range(300):
         a = random_ordinal(rng, 3)

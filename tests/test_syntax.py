@@ -1,3 +1,4 @@
+import pathlib
 import random
 from dataclasses import fields
 from fractions import Fraction
@@ -11,11 +12,14 @@ from pastlab.exploration import collapse_to_state_graph
 from pastlab.semantics import initial_state, is_terminal, step
 from pastlab.syntax import (ABin, Assign, BBin, BoolLit, Cmp, EMPTY, Empty,
                             EXIT, Exit, If, Neg, NondetChoice, Not,
-                            ParseError, ProbChoice, RatLit, SKIP, Seq, Skip,
-                            TooManyDigits, Var, While, parse, parse_aexpr,
-                            print_aexpr, print_bexpr, print_program,
-                            print_rational, seq_of, subterms)
+                            KEYWORDS, ParseError, ProbChoice, RatLit, SKIP,
+                            Seq, Skip, Token, TooManyDigits, Var, While,
+                            parse, parse_aexpr, parse_bexpr, print_aexpr,
+                            print_bexpr, print_program, print_rational,
+                            seq_of, subterms, tokenize)
 from conftest import random_active_program, random_program
+
+PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
 idents = st.sampled_from(("x", "y", "longer_name2"))
 rationals = st.builds(Fraction, st.integers(0, 9), st.integers(1, 9))
@@ -119,6 +123,209 @@ def test_parse_errors_carry_position():
 def test_no_panic_on_junk(junk):
     with pytest.raises(ParseError):
         parse(junk)
+
+
+# ---------------------------------------------------------------------------
+# The token scanner and parse errors
+# ---------------------------------------------------------------------------
+
+_REFERENCE_PUNCT = ("[]", ":=", "!=", "<=", ">=", ";", "{", "}", "(", ")",
+                    "<", ">", "=", "+", "-", "*", "/")
+
+
+def reference_tokenize(source):
+    """The character-by-character scanner tokenize must agree with."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if ch.isascii() and ch.isdigit():
+            j = i
+            while j < n and source[j].isascii() and source[j].isdigit():
+                j += 1
+            tokens.append(Token("int", source[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isascii() and ch.isalpha():
+            j = i
+            while j < n and source[j].isascii() \
+                    and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            text = source[i:j]
+            kind = "kw" if text in KEYWORDS else "ident"
+            tokens.append(Token(kind, text, line, col))
+            col += j - i
+            i = j
+            continue
+        for p in _REFERENCE_PUNCT:
+            if source.startswith(p, i):
+                tokens.append(Token("punct", p, line, col))
+                col += len(p)
+                i += len(p)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+# Text spliced into the sources below: every token kind, the characters
+# the scanner treats specially, and characters that Unicode calls digits,
+# letters or spaces but the ASCII-only scanner refuses.
+_SPLICES = (list("(){};:=<>!+-*/[]#_x9 \t\r\n\f\x00")
+            + ["\r\n", "é", "\u0663", "\xa0", "\u2028", "skip", "<1/2>",
+               ":=", "[]", "!=", "# note", "12345", "else", "x_1"])
+
+
+def _outcome(fn, source):
+    try:
+        return fn(source)
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.column, exc.expected)
+
+
+def _mutated_sources(rng, count):
+    seeds = [path.read_text() for path in sorted(PROGRAMS.glob("*.pgcl"))]
+    seeds += [print_program(random_program(rng, 4)) for _ in range(40)]
+    seeds += ["x := 1 # trailing comment, no newline",
+              "skip;\r\n\tx := 1\r\n", "x := # c", "\t# only a comment"]
+    for _ in range(count):
+        source = rng.choice(seeds)
+        for _ in range(rng.randrange(1, 4)):
+            i = rng.randrange(len(source) + 1)
+            j = min(len(source), i + rng.randrange(6))
+            if rng.random() < 0.4:
+                source = source[:i] + source[j:]
+            else:
+                source = source[:i] + rng.choice(_SPLICES) + source[i:]
+        yield source
+
+
+def test_tokenize_matches_the_reference_scanner():
+    rng = random.Random(11)
+    for source in _mutated_sources(rng, 3000):
+        assert _outcome(tokenize, source) == \
+            _outcome(reference_tokenize, source), source
+
+
+def test_comment_does_not_advance_the_column():
+    assert tokenize("x := # c")[-1] == Token("eof", "", 1, 6)
+    assert tokenize("x := 1 # c\n")[-1] == Token("eof", "", 2, 1)
+
+
+@pytest.mark.parametrize("fn, source, message", [
+    (parse, "",
+     "unexpected end of input at line 1, column 1 "
+     "(expected one of: statement)"),
+    (parse, "x := # c",
+     "unexpected end of input at line 1, column 6 "
+     "(expected one of: rational, identifier, '-', '(')"),
+    (parse, "x := 1 # note\n  y",
+     "unexpected 'y' at line 2, column 3 "
+     "(expected one of: ';', end of input)"),
+    (parse, "skip skip",
+     "unexpected 'skip' at line 1, column 6 "
+     "(expected one of: ';', end of input)"),
+    (parse, "x := 1;",
+     "unexpected end of input at line 1, column 8 "
+     "(expected one of: statement)"),
+    (parse, "x = 1",
+     "unexpected '=' at line 1, column 3 (expected one of: ':=')"),
+    (parse, "y := @", "unexpected character '@' at line 1, column 6"),
+    (parse, "x := é", "unexpected character 'é' at line 1, column 6"),
+    (parse, "x := \u0663",
+     "unexpected character '\u0663' at line 1, column 6"),
+    (parse, "x :=\xa01",
+     "unexpected character '\\xa0' at line 1, column 5"),
+    (parse, "skip;\r\n\tx := 1\f",
+     "unexpected character '\\x0c' at line 2, column 8"),
+    (parse, "_x := 1", "unexpected character '_' at line 1, column 1"),
+    (parse, "x : = 1", "unexpected character ':' at line 1, column 3"),
+    (parse, "while x < 1 { skip }",
+     "unexpected 'x' at line 1, column 7 (expected one of: '(')"),
+    (parse, "while (x < 1) skip",
+     "unexpected 'skip' at line 1, column 15 (expected one of: '{')"),
+    (parse, "while (x < 1) { skip",
+     "unexpected end of input at line 1, column 21 (expected one of: '}')"),
+    (parse, "if (x) { skip }",
+     "unexpected ')' at line 1, column 6 "
+     "(expected one of: comparison operator)"),
+    (parse, "if (x = 1) { skip } else skip",
+     "unexpected 'skip' at line 1, column 26 (expected one of: '{')"),
+    (parse, "{ skip }",
+     "unexpected end of input at line 1, column 9 "
+     "(expected one of: '[]', '<')"),
+    (parse, "{ skip } [] skip",
+     "unexpected 'skip' at line 1, column 13 (expected one of: '{')"),
+    (parse, "{ skip } <1/2 { skip }",
+     "unexpected '{' at line 1, column 15 (expected one of: '>')"),
+    (parse, "{ skip } <1/2> skip",
+     "unexpected 'skip' at line 1, column 16 (expected one of: '{')"),
+    (parse, "x := 1/",
+     "unexpected end of input at line 1, column 8 "
+     "(expected one of: integer denominator)"),
+    (parse, "x := 1/y",
+     "unexpected 'y' at line 1, column 8 "
+     "(expected one of: integer denominator)"),
+    (parse, "x := 3/0",
+     "malformed rational literal: zero denominator at line 1, column 8"),
+    (parse, "x := (1 + 2",
+     "unexpected end of input at line 1, column 12 (expected one of: ')')"),
+    (parse, "x := " + "9" * 4301,
+     "integer literal of 4301 digits exceeds 4300 at line 1, column 6"),
+    (parse, "while (x <) { skip }",
+     "unexpected ')' at line 1, column 11 "
+     "(expected one of: rational, identifier, '-', '(')"),
+    (parse, "else",
+     "unexpected 'else' at line 1, column 1 (expected one of: statement)"),
+    (parse, "skip; }",
+     "unexpected '}' at line 1, column 7 (expected one of: statement)"),
+    (parse, "x := --",
+     "unexpected end of input at line 1, column 8 "
+     "(expected one of: rational, identifier, '-', '(')"),
+    (parse_aexpr, "1 2",
+     "unexpected '2' at line 1, column 3 (expected one of: end of input)"),
+    (parse_aexpr, "x <= 1",
+     "unexpected '<=' at line 1, column 3 (expected one of: end of input)"),
+    (parse_bexpr, "x < 1 y",
+     "unexpected 'y' at line 1, column 7 (expected one of: end of input)"),
+    (parse_bexpr, "(x < 1",
+     "unexpected '<' at line 1, column 4 (expected one of: ')')"),
+    (parse_bexpr, "true and",
+     "unexpected end of input at line 1, column 9 "
+     "(expected one of: rational, identifier, '-', '(')"),
+], ids=lambda value: value[:24] if isinstance(value, str) else value.__name__)
+def test_parse_error_text(fn, source, message):
+    with pytest.raises(ParseError) as info:
+        fn(source)
+    assert str(info.value) == message
+
+
+def test_parse_accepts_deep_nesting():
+    # Through cli.main, which adds its own frames, the limits are about
+    # 490 blocks, 492 choices and 245 parentheses; these stay below them
+    # by a margin for pytest's frames.
+    ifs = parse("if (x = 0) { " * 400 + "skip" + " }" * 400)
+    assert sum(isinstance(t, If) for t in subterms(ifs)) == 400
+    choices = parse("{ " * 400 + "skip" + " } <1/2> { skip }" * 400)
+    assert sum(isinstance(t, ProbChoice) for t in subterms(choices)) == 400
+    assert parse("x := " + "(" * 150 + "y" + ")" * 150) == Assign("x",
+                                                                  Var("y"))
 
 
 def test_fig1a_print_reparses_equal():
