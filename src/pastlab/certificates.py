@@ -107,7 +107,12 @@ def _by_node(data: dict, name: str, index: dict, read) -> dict:
 
 
 def _read(parse, value, what: str):
-    """parse(value), with a malformed value reported as a CertificateError."""
+    """parse(value), with a malformed value reported as a CertificateError.
+    Values are JSON strings only: a JSON number would be read through its
+    binary float value, and true as 1."""
+    if not isinstance(value, str):
+        raise CertificateError(f"certificate has a bad {what} "
+                               f"{reprlib.repr(value)}: not a JSON string")
     try:
         return parse(value)
     except (ValueError, TypeError, AttributeError, ArithmeticError) as exc:

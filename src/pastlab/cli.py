@@ -216,6 +216,13 @@ def cmd_check_rsm(args) -> int:
     graph = _load_graph_from_json(args.graph)
     cert = certificates.RsmCert.from_json(_read_json(args.cert), graph)
     verdict = certificates.check_rsm(graph, cert)
+    # h/epsilon bounds the expected time to reach the zero set of h, which
+    # is a runtime bound only when that set holds no non-terminal node.
+    verdict.violations += [(node, "h-positive-on-nonterminal", value,
+                            "positive")
+                           for node, value in sorted(cert.h.items())
+                           if value == 0 and graph.kinds[node] != "terminal"]
+    verdict.ok = not verdict.violations
     if verdict.ok:
         bound = certificates.rsm_bound(cert, graph.initial)
         print(f"OK, bound = {_fmt(bound, args)}")

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from . import ordinal
 from .ordinal import Ordinal
 from .syntax import (ABin, Assign, BoolLit, Cmp, EMPTY, EXIT, If,
-                     NondetChoice, ProbChoice, Program, RatLit, SKIP, Seq,
-                     Var, While, seq_of)
+                     NondetChoice, ProbChoice, Program, RatLit, SKIP, Var,
+                     While, seq_of)
 
 
 class HydraError(ValueError):
@@ -68,7 +67,6 @@ class RoundOutcome:
     survived: bool
     prob: Fraction
     result: Optional[HydraState]
-    steps: int
 
 
 # ---------------------------------------------------------------------------
@@ -159,36 +157,6 @@ def parse_hydra(text: str, n: int = 4) -> HydraState:
     return HydraState(tree, n)
 
 
-def print_hydra(h: HydraState) -> str:
-    return canonical_shape(h.tree)
-
-
-def hydra_to_json(h: HydraState) -> dict:
-    parents = {}
-    counter = [0]
-
-    def walk(t, my_id):
-        for child in t.children:
-            counter[0] += 1
-            child_id = counter[0]
-            parents[str(child_id)] = my_id
-            walk(child, child_id)
-
-    walk(h.tree, 0)
-    return {"n": h.n, "root": 0, "parents": parents}
-
-
-def hydra_from_json(data: dict) -> HydraState:
-    children = {}
-    for child, parent in data.get("parents", {}).items():
-        children.setdefault(int(parent), []).append(int(child))
-
-    def build(node_id):
-        return Tree(tuple(build(c) for c in sorted(children.get(node_id, ()))))
-
-    return HydraState(build(int(data.get("root", 0))), int(data.get("n", 4)))
-
-
 # ---------------------------------------------------------------------------
 # The ordinal map
 # ---------------------------------------------------------------------------
@@ -259,8 +227,7 @@ def play_round(h: HydraState, leaf: tuple, evolutions: int) -> List[RoundOutcome
     if not has_grandparent:
         if evolutions > 0:
             raise HydraError("cannot evolve without a grandparent")
-        return [RoundOutcome(True, Fraction(1), HydraState(removed, h.n),
-                             round_steps(h, leaf, 0, survived=True))]
+        return [RoundOutcome(True, Fraction(1), HydraState(removed, h.n))]
     parent_path = leaf[:-1]
     grandparent_path = leaf[:-2]
     subtree = removed
@@ -279,11 +246,9 @@ def play_round(h: HydraState, leaf: tuple, evolutions: int) -> List[RoundOutcome
         raise HydraError(f"{evolutions} evolutions regrow more copies "
                          f"than fit in memory") from None
     outcomes = [RoundOutcome(True, Fraction(1, 2 ** evolutions),
-                             HydraState(grown, new_capacity),
-                             round_steps(h, leaf, evolutions, survived=True))]
+                             HydraState(grown, new_capacity))]
     for i in range(1, evolutions + 1):
-        outcomes.append(RoundOutcome(False, Fraction(1, 2 ** i), None,
-                                     round_steps(h, leaf, i, survived=False)))
+        outcomes.append(RoundOutcome(False, Fraction(1, 2 ** i), None))
     return outcomes
 
 
@@ -294,18 +259,6 @@ def surviving(outcomes: List[RoundOutcome]) -> RoundOutcome:
     raise HydraError("no surviving outcome")
 
 
-def successors_T(h: HydraState, leaf: tuple, e_max: int) -> List[Ordinal]:
-    """Rank of the surviving hydra for 0, 1, ..., e_max evolutions: the
-    one-round successor ranks whose least upper bound witnesses T."""
-    if T(h) < ordinal.OMEGA:
-        raise HydraError("successor enumeration needs rank at least omega")
-    out = []
-    for e in range(e_max + 1):
-        result = surviving(play_round(h, leaf, e)).result
-        out.append(T(result))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Hercules strategies
 # ---------------------------------------------------------------------------
@@ -314,8 +267,6 @@ class LeftmostDeepest:
     """Chop a deepest leaf; ties break toward the largest subtree (by node
     count, then shape) so the choice matches the compiled class dispatch,
     which serves the highest leaf class first."""
-
-    name = "leftmost-deepest"
 
     def choose(self, h: HydraState) -> tuple:
         candidates = leaves(h.tree)
@@ -333,27 +284,8 @@ class LeftmostDeepest:
         return max(candidates, key=rank)
 
 
-class Scripted:
-    """Follow a fixed list of leaf paths, one per round."""
-
-    name = "scripted"
-
-    def __init__(self, script):
-        self.script = list(script)
-        self.cursor = 0
-
-    def choose(self, h: HydraState) -> tuple:
-        if self.cursor >= len(self.script):
-            raise HydraError("script exhausted")
-        choice = tuple(self.script[self.cursor])
-        self.cursor += 1
-        return choice
-
-
 class RandomLeaf:
     """Uniformly random head, deterministic for a fixed seed."""
-
-    name = "random"
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
@@ -363,15 +295,6 @@ class RandomLeaf:
         if not candidates:
             raise HydraError("no heads left")
         return self.rng.choice(candidates)
-
-
-def hercules_choose(h: HydraState, strategy) -> tuple:
-    if isinstance(strategy, str):
-        if strategy == "leftmost-deepest":
-            strategy = LeftmostDeepest()
-        else:
-            raise HydraError(f"unknown strategy {strategy!r}")
-    return strategy.choose(h)
 
 
 # ---------------------------------------------------------------------------
@@ -449,26 +372,14 @@ def compile_to_pgcl(h: HydraState, hercules="leftmost-deepest") -> Program:
     decisions; deaths are skip-or-exit coin flips, so the output is already
     in normal form.  Hercules's strategy is fixed at compile time as a
     priority order over leaf classes: leftmost-deepest prefers the deepest
-    class, random(seed) uses a seed-shuffled priority, and scripted takes a
-    list of class picks (0 for a root leaf) consumed one per round before
-    falling back to leftmost-deepest.
+    class and random(seed) uses a seed-shuffled priority.
     """
     counts, b = _class_counts(h)
     width = len(counts)
     order = list(range(width, 0, -1)) + [0]
 
-    script: list = []
-    if isinstance(hercules, tuple):
-        kind = hercules[0]
-        if kind == "random":
-            rng = random.Random(hercules[1])
-            rng.shuffle(order)
-        elif kind == "scripted":
-            script = [int(c) for c in hercules[1]]
-            if any(c < 0 or c > width for c in script):
-                raise HydraError("scripted class out of range")
-        else:
-            raise HydraError(f"unknown strategy {hercules!r}")
+    if isinstance(hercules, tuple) and hercules[0] == "random":
+        random.Random(hercules[1]).shuffle(order)
     elif hercules != "leftmost-deepest":
         raise HydraError(f"unknown strategy {hercules!r}")
 
@@ -476,81 +387,11 @@ def compile_to_pgcl(h: HydraState, hercules="leftmost-deepest") -> Program:
     for c in range(1, width + 1):
         total = ABin("+", Var(f"h{c}"), total)
 
-    dispatch = _priority_dispatch(order)
-    if script:
-        # Round counter dispatch for the scripted prefix, guarded so an
-        # empty scripted class falls back to the priority order.
-        for r, c in reversed(list(enumerate(script))):
-            var = "b" if c == 0 else f"h{c}"
-            scripted_round = If(Cmp(">", Var(var), _num(0)),
-                                _round_program(c), dispatch)
-            dispatch = If(Cmp("=", Var("r"), _num(r)), scripted_round, dispatch)
-        dispatch = Seq(dispatch, Assign("r", ABin("+", Var("r"), _num(1))))
-
     body = seq_of([
         If(Cmp("=", total, _num(0)), EXIT, EMPTY),
-        dispatch,
+        _priority_dispatch(order),
     ])
     inits = [Assign("n", _num(h.n)), Assign("b", _num(b))]
     for c in range(1, width + 1):
         inits.append(Assign(f"h{c}", _num(counts[c - 1])))
     return seq_of(inits + [While(BoolLit(True), body)])
-
-
-def class_of_leaf(h: HydraState, leaf: tuple) -> int:
-    """Leaf class in the depth <= 2 encoding: 0 for a root leaf, else the
-    leaf count of its parent (before the chop)."""
-    leaf = tuple(leaf)
-    if len(leaf) == 1:
-        return 0
-    if len(leaf) == 2:
-        return len(h.tree.children[leaf[0]].children)
-    raise EncodingWidthError("leaf deeper than the class encoding")
-
-
-def tree_from_counts(counts, b: int) -> Tree:
-    children = [LEAF] * b
-    for c, count in enumerate(counts, start=1):
-        children.extend([Tree((LEAF,) * c)] * count)
-    return Tree(tuple(children))
-
-
-# Step counts of one round of the compiled game along one outcome's path,
-# measured against the leftmost-deepest emission and pinned by a test that
-# simulates the compiled program (tests/test_hydra.py).  From the loop head:
-# unfold + emptiness check + dispatch gives 4 steps plus one per priority
-# class inspected before the match; a root-leaf chop then takes 2 more, a
-# class chop 9 more plus 9 per surviving evolution cycle, and a death at
-# coin i collapses 8 + 9*(i - 1) steps after the dispatch.
-_ROUND_HEAD = 4
-_ROUND_ROOT_TAIL = 2
-_ROUND_CLASS_TAIL = 9
-_ROUND_PER_EVOLUTION = 9
-_ROUND_DEATH_TAIL = 8
-
-
-def round_steps(h: HydraState, leaf: tuple, evolutions: int,
-                survived: bool = True) -> int:
-    """Deterministic step count of one round of the compiled game.
-
-    For the surviving path this counts a full outer-loop iteration of the
-    class encoding; a death outcome at coin i counts the steps up to and
-    including the collapse of that exit.  Trees deeper than the encoding
-    reuse the formula with the leaf treated as first priority.
-    """
-    leaf = tuple(leaf)
-    try:
-        cls = class_of_leaf(h, leaf)
-        counts, _ = _class_counts(h)
-        width = len(counts)
-        order = list(range(width, 0, -1)) + [0]
-        position = order.index(cls) if cls in order else 0
-    except (EncodingWidthError, HydraError):
-        cls = 0 if len(leaf) == 1 else 1
-        position = 0
-    base = _ROUND_HEAD + position
-    if cls == 0:
-        return base + _ROUND_ROOT_TAIL
-    if survived:
-        return base + _ROUND_CLASS_TAIL + evolutions * _ROUND_PER_EVOLUTION
-    return base + _ROUND_DEATH_TAIL + (evolutions - 1) * _ROUND_PER_EVOLUTION

@@ -174,19 +174,29 @@ def parse_ordinal(text: str) -> Ordinal:
                 if not coeff_tok.isdigit():
                     raise OrdinalParseError(
                         f"expected coefficient, found {coeff_tok!r}")
-                coeff = int(coeff_tok)
+                coeff = _natural(coeff_tok)
                 if coeff < 1:
                     raise OrdinalParseError("coefficient must be positive")
             return Ordinal(((exponent, coeff),))
         if tok is not None and tok.isdigit():
             take()
-            return from_natural(int(tok))
+            return from_natural(_natural(tok))
         raise OrdinalParseError(f"unexpected token {tok!r} in {text!r}")
 
     result = parse_sum()
     if peek() is not None:
         raise OrdinalParseError(f"trailing input {peek()!r} in {text!r}")
     return result
+
+
+def _natural(digits: str) -> int:
+    """int(digits), with CPython's limit on the digits it converts from
+    text (4300 by default) reported as an OrdinalParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise OrdinalParseError(
+            f"integer of {len(digits)} digits in ordinal") from None
 
 
 # Spaces, a token (an integer or a symbol), or a character of neither.

@@ -143,10 +143,6 @@ def constant(direction: Direction) -> Scheduler:
     return ConstantScheduler(direction)
 
 
-def from_function(fn: Callable) -> Scheduler:
-    return FunctionScheduler(fn)
-
-
 def interactive(input_fn=input, output_fn=print) -> Scheduler:
     return InteractiveScheduler(input_fn, output_fn)
 
@@ -177,22 +173,6 @@ class PartialSchedule:
     def mapping(self) -> dict:
         return dict(self.table)
 
-    def to_json(self) -> dict:
-        return {
-            "size": self.size,
-            "table": {"".join(d.value for d in hist): direction.value
-                      for hist, direction in self.table},
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "PartialSchedule":
-        table = {}
-        for word, value in data.get("table", {}).items():
-            history = tuple(Direction(word[i:i + 2])
-                            for i in range(0, len(word), 2))
-            table[history] = Direction(value)
-        return PartialSchedule.of(int(data["size"]), table)
-
 
 class TableScheduler(Scheduler):
     """Standard extension of a partial schedule: table answers on its domain,
@@ -206,7 +186,9 @@ class TableScheduler(Scheduler):
         return self._table.get(tuple(history), Ln)
 
     def __repr__(self):
-        return f"extension({self.partial.to_json()})"
+        table = {"".join(d.value for d in history): answer.value
+                 for history, answer in self.partial.table}
+        return f"extension({table})"
 
 
 def standard_extension(partial: PartialSchedule) -> Scheduler:
@@ -229,11 +211,6 @@ def iter_partial_schedules(size: int, histories: Iterable[tuple],
             f"(2**{len(histories)} schedules) exceeds cap {cap}")
     for combo in itertools.product((Ln, Rn), repeat=len(histories)):
         yield PartialSchedule.of(size, dict(zip(histories, combo)))
-
-
-def enumerate_partial_schedules(size: int, histories: Iterable[tuple],
-                                cap: int = 16) -> list:
-    return list(iter_partial_schedules(size, histories, cap))
 
 
 # ---------------------------------------------------------------------------

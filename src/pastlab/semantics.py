@@ -29,8 +29,8 @@ from typing import Optional
 
 from .syntax import (ABin, AExpr, Assign, BBin, BExpr, BoolLit, Cmp, EMPTY,
                      Empty, Exit, If, Neg, NondetChoice, Not, ProbChoice,
-                     Program, RatLit, Seq, Skip, Var, While, parse,
-                     print_program, print_rational)
+                     Program, RatLit, Seq, Skip, Var, While, print_program,
+                     print_rational)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -127,19 +127,6 @@ class ExecState:
             "prob": print_rational(self.prob),
             "history": "".join(d.value for d in self.history),
         }
-
-
-def exec_state_from_json(data: dict) -> ExecState:
-    history = []
-    text = data.get("history", "")
-    for i in range(0, len(text), 2):
-        history.append(Direction(text[i:i + 2]))
-    return ExecState(
-        parse(data["program"]),
-        Valuation({k: Fraction(v) for k, v in data.get("valuation", {}).items()}),
-        Fraction(data["prob"]),
-        tuple(history),
-    )
 
 
 def initial_state(program: Program) -> ExecState:

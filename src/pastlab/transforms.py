@@ -153,23 +153,6 @@ def encode_sequence(seq) -> int:
     return code
 
 
-def ord_of_tree(spec: TreeSpec):
-    """Ordinal value of a finite explicit tree: absent nodes and leaves get
-    0, internal nodes one more than the largest child value."""
-    from . import ordinal
-    if spec.explicit is None:
-        raise TransformError("ordinal evaluation needs an explicit tree")
-
-    def value(seq):
-        children = [s for s in spec.explicit
-                    if len(s) == len(seq) + 1 and s[:len(seq)] == seq]
-        if seq not in spec.explicit or not children:
-            return ordinal.ZERO
-        return ordinal.successor(max(value(c) for c in children))
-
-    return value(())
-
-
 # ---------------------------------------------------------------------------
 # Normal-form recognition
 # ---------------------------------------------------------------------------
@@ -349,6 +332,9 @@ def emit_ordinal_program(spec: TreeSpec) -> Program:
 # to_knievel: the execution-tree simulator
 # ---------------------------------------------------------------------------
 
+MAX_WIDTH = 8  # simultaneous source branches the simulator has slots for
+
+
 @dataclass
 class _Instr:
     kind: str  # noop / assign / test / nondet / prob / exit
@@ -438,14 +424,13 @@ def _rename(node, slot):
                             for name, value in term_fields(node)})
 
 
-def to_knievel(program: Program, horizon_policy="double",
-               max_width: int = 8) -> Program:
+def to_knievel(program: Program, horizon_policy="double") -> Program:
     """Rebuild a program in normal form, preserving whether its expected
     runtime is finite under each scheduler.
 
     The output advances every live branch of the source execution tree one
     step per round (branch weights in rational slot variables, at most
-    max_width simultaneous branches), re-exposes the source's
+    MAX_WIDTH simultaneous branches), re-exposes the source's
     nondeterministic choices, accumulates the expected-runtime series in
     cer, flips one continuation coin per round, and on each crossing of the
     doubling bound cheers for one over the current continuation
@@ -462,10 +447,10 @@ def to_knievel(program: Program, horizon_policy="double",
             "a loop can split an unbounded number of branches")
     splits = sum(1 for i in instrs if i.kind == "prob")
     width = splits + 1
-    if width > max_width:
+    if width > MAX_WIDTH:
         raise FrontierWidthError(
             f"frontier-encoding width exceeded: {width} slots needed, "
-            f"{max_width} allowed")
+            f"{MAX_WIDTH} allowed")
     source_vars = _source_vars(program)
     try:
         initial_bound = (1 if horizon_policy == "double"

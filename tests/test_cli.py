@@ -186,6 +186,24 @@ def test_check_rsm_two_node_chain(tmp_path, capsys):
     assert "OK, bound = 1" in capsys.readouterr().out
 
 
+def test_check_rsm_refuses_zero_on_a_nonterminal(tmp_path, capsys):
+    # h = 0 everywhere passes every RSM inequality, but its zero set holds
+    # the whole loop, so h/epsilon = 0 bounds no runtime.
+    program_path = tmp_path / "spin.pgcl"
+    program_path.write_text("while (true) { skip }\n")
+    graph_path = tmp_path / "graph.json"
+    assert main(["graph", str(program_path), "-o", str(graph_path)]) == 0
+    graph = StateGraph.from_json(json.loads(graph_path.read_text()))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(
+        {"epsilon": "1", "h": {key: "0" for key in graph.node_keys()}}))
+    capsys.readouterr()
+    assert main(["check-rsm", str(graph_path), str(cert_path)]) == 1
+    assert capsys.readouterr().out == "REJECTED\n" + "".join(
+        f"h-positive-on-nonterminal at {key}: 0 vs positive\n"
+        for key in graph.node_keys())
+
+
 @pytest.mark.parametrize("h, epsilon, approx", [
     pytest.param("1" + "0" * 400, "1", "1e+400", id="beyond-float-range"),
     pytest.param("3" + "0" * 400, "7", "4.28571e+399", id="fraction-beyond"),
@@ -684,6 +702,19 @@ ONE_ASSIGNMENT_RANK = {"x := 1 | ": "1", "bot | x=1": "0"}
                  id="epsilon-not-rational"),
     pytest.param("check-rsm", {"h": ONE_ASSIGNMENT_H},
                  "certificate has no epsilon", id="missing-epsilon"),
+    pytest.param("check-rsm", {"epsilon": True, "h": ONE_ASSIGNMENT_H},
+                 "certificate has a bad epsilon True: not a JSON string",
+                 id="epsilon-boolean"),
+    pytest.param("check-rsm", {"epsilon": 1, "h": ONE_ASSIGNMENT_H},
+                 "certificate has a bad epsilon 1: not a JSON string",
+                 id="epsilon-integer"),
+    pytest.param("check-rsm", {"epsilon": 0.1, "h": ONE_ASSIGNMENT_H},
+                 "certificate has a bad epsilon 0.1: not a JSON string",
+                 id="epsilon-float"),
+    pytest.param("check-rsm", {"epsilon": "1",
+                               "h": {**ONE_ASSIGNMENT_H, "x := 1 | ": 1.5}},
+                 "certificate has a bad value 1.5: not a JSON string",
+                 id="value-float"),
     pytest.param("check-rsm", {"epsilon": "1",
                                "h": {**ONE_ASSIGNMENT_H, "x := 1 | ": "1/0"}},
                  "certificate has a bad value '1/0'", id="value-not-rational"),

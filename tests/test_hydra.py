@@ -5,14 +5,12 @@ import pytest
 
 from pastlab import ordinal
 from pastlab.hydra import (EncodingWidthError, HydraError, HydraState,
-                           LeftmostDeepest, RandomLeaf, Scripted, T, Tree,
-                           LEAF, canonical_shape, compile_to_pgcl, depth,
-                           head_count, hercules_choose, hydra_from_json,
-                           hydra_to_json, isomorphic, leaves, node_count,
-                           parse_hydra, play_round, print_hydra,
-                           successors_T, surviving, tree_from_counts)
+                           LeftmostDeepest, RandomLeaf, T, Tree, LEAF,
+                           canonical_shape, compile_to_pgcl, depth,
+                           head_count, isomorphic, leaves, node_count,
+                           parse_hydra, play_round, surviving)
 from pastlab.ordinal import OMEGA, ZERO, from_natural, natural_sum
-from pastlab.semantics import Kind, head_redex, initial_state, is_terminal
+from pastlab.semantics import Kind, head_redex, initial_state
 from pastlab.scheduling import Scheduler, Ln, Rn
 from pastlab.syntax import BoolLit, While
 from pastlab.transforms import is_knievel
@@ -22,6 +20,21 @@ from conftest import scheduled_step
 
 LINE = parse_hydra("((()))")          # root - mid - leaf
 SINGLE = parse_hydra("(())")          # root with one leaf child
+
+
+def tree_from_counts(counts, b):
+    """The depth <= 2 tree that the compiled game's variables describe: b
+    leaves under the root and counts[c - 1] children bearing c leaves."""
+    children = [LEAF] * b
+    for c, count in enumerate(counts, start=1):
+        children.extend([Tree((LEAF,) * c)] * count)
+    return Tree(tuple(children))
+
+
+def successors_T(h, leaf, e_max):
+    """Rank of the surviving hydra for 0, 1, ..., e_max evolutions."""
+    return [T(surviving(play_round(h, leaf, e)).result)
+            for e in range(e_max + 1)]
 
 
 def test_rank_examples():
@@ -36,23 +49,15 @@ def test_rank_examples():
 def test_parse_print_round_trip():
     for text in ("()", "(())", "(()())", "((())())", "(((())))"):
         state = parse_hydra(text)
-        assert parse_hydra(print_hydra(state)).tree == \
-            parse_hydra(text if text == print_hydra(state) else
-                        print_hydra(state)).tree
-        assert canonical_shape(parse_hydra(print_hydra(state)).tree) == \
+        shape = canonical_shape(state.tree)
+        assert parse_hydra(shape).tree == \
+            parse_hydra(text if text == shape else shape).tree
+        assert canonical_shape(parse_hydra(shape).tree) == \
             canonical_shape(state.tree)
     with pytest.raises(HydraError):
         parse_hydra("(()")
     with pytest.raises(HydraError):
         parse_hydra("()()")
-
-
-def test_json_round_trip():
-    state = parse_hydra("((())())")
-    data = hydra_to_json(state)
-    assert data["n"] == 4
-    back = hydra_from_json(data)
-    assert isomorphic(back.tree, state.tree)
 
 
 def test_play_round_refuses_copies_past_sys_maxsize():
@@ -127,11 +132,6 @@ def test_successors_two_chains():
     assert values == sorted(values)
 
 
-def test_successors_requires_infinite_rank():
-    with pytest.raises(HydraError):
-        successors_T(SINGLE, (0,), 2)
-
-
 def test_line_hydra_cofinality():
     # The one-round ranks are finite, strictly increasing, and unbounded
     # among the finite ordinals, so their least upper bound is the line
@@ -190,9 +190,8 @@ def test_divergence_pressure():
 
 
 def test_hercules_strategies():
-    assert hercules_choose(LINE, "leftmost-deepest") == (0, 0)
+    assert LeftmostDeepest().choose(LINE) == (0, 0)
     assert LeftmostDeepest().choose(parse_hydra("(()(()))")) in ((1, 0), (0, 0))
-    assert Scripted([(0, 0)]).choose(LINE) == (0, 0)
     first = RandomLeaf(9).choose(parse_hydra("(()()())"))
     again = RandomLeaf(9).choose(parse_hydra("(()()())"))
     assert first == again  # deterministic per seed
@@ -232,24 +231,19 @@ def arm(successors, kind):
 
 def simulate_one_round(state, evolutions):
     """Drive the compiled game through one full round on the surviving
-    path; returns (steps, survival probability, class counts valuation)."""
+    path; returns (survival probability, class counts valuation)."""
     program = compile_to_pgcl(state)
     scheduler = EvolveScript(evolutions)
     current, memory = initial_state(program), scheduler.start()
-    steps = 0
     loop_heads = 0
-    first_head = None
-    while steps < 2000:
+    for _ in range(2000):
         current, memory = arm(scheduled_step(current, scheduler, memory),
                               Kind.PROB_LEFT)
-        steps += 1
         redex = head_redex(current.program)
         if isinstance(redex, While) and isinstance(redex.guard, BoolLit):
             loop_heads += 1
-            if loop_heads == 1:
-                first_head = steps
-            else:
-                return steps - first_head, current.prob, current.valuation
+            if loop_heads == 2:
+                return current.prob, current.valuation
     raise AssertionError("round did not complete")
 
 
@@ -268,60 +262,25 @@ def test_compile_is_knievel():
 
 def test_compile_round_trip_line():
     for evolutions in range(3):
-        steps, prob, valuation = simulate_one_round(LINE, evolutions)
+        prob, valuation = simulate_one_round(LINE, evolutions)
         expected = surviving(play_round(LINE, (0, 0), evolutions))
         assert prob == expected.prob
         counts, root_leaves = counts_from_valuation(valuation)
         rebuilt = tree_from_counts(counts, root_leaves)
         assert isomorphic(rebuilt, expected.result.tree)
         assert int(valuation.get("n")) == expected.result.n
-        assert steps == expected.steps
 
 
 def test_compile_round_trip_wider_tree():
     state = parse_hydra("((()())(()))")  # one 2-leaf child, one 1-leaf child
     for evolutions in (0, 1):
-        steps, prob, valuation = simulate_one_round(state, evolutions)
-        leaf = hercules_choose(state, "leftmost-deepest")
+        prob, valuation = simulate_one_round(state, evolutions)
+        leaf = LeftmostDeepest().choose(state)
         expected = surviving(play_round(state, leaf, evolutions))
         assert prob == expected.prob
         counts, root_leaves = counts_from_valuation(valuation)
         assert isomorphic(tree_from_counts(counts, root_leaves),
                           expected.result.tree)
-        assert steps == expected.steps
-
-
-def test_round_steps_death_paths():
-    # Death at coin i collapses the whole program right after the coin.
-    program = compile_to_pgcl(LINE)
-    scheduler = EvolveScript(3)
-    current, memory = initial_state(program), scheduler.start()
-    steps = 0
-    first_head = None
-    coins = 0
-    while True:
-        redex = head_redex(current.program)
-        if isinstance(redex, While) and isinstance(redex.guard, BoolLit) \
-                and first_head is None:
-            first_head = steps
-        successors = scheduled_step(current, scheduler, memory)
-        if len(successors) == 2:
-            coins += 1
-            if coins == 2:
-                dead, after = arm(successors, Kind.PROB_RIGHT)
-                extra = 0
-                while not is_terminal(dead):
-                    dead, after = arm(scheduled_step(dead, scheduler, after),
-                                      Kind.PROB_RIGHT)
-                    extra += 1
-                died_at = steps + 1 + extra - first_head
-                outcome = [o for o in play_round(LINE, (0, 0), 3)
-                           if not o.survived][1]
-                assert outcome.prob == Fraction(1, 4)
-                assert died_at == outcome.steps
-                return
-        current, memory = arm(successors, Kind.PROB_LEFT)
-        steps += 1
 
 
 def test_compile_single_leaf_terminates_fixed():
@@ -335,7 +294,7 @@ def test_compile_single_leaf_terminates_fixed():
 
 def test_compile_line_reaches_pending_chops():
     for evolutions in (0, 1, 2):
-        _, _, valuation = simulate_one_round(LINE, evolutions)
+        _, valuation = simulate_one_round(LINE, evolutions)
         assert valuation.get("b") == 4 ** (evolutions + 1)
 
 
@@ -345,10 +304,8 @@ def test_compile_depth_cap():
         compile_to_pgcl(deep)
 
 
-def test_compile_scripted_and_random_strategies():
+def test_compile_random_strategy():
     state = parse_hydra("((()())(()))")
-    scripted = compile_to_pgcl(state, ("scripted", [1, 2]))
-    assert is_knievel(scripted)
     shuffled = compile_to_pgcl(state, ("random", 3))
     assert is_knievel(shuffled)
     again = compile_to_pgcl(state, ("random", 3))

@@ -82,7 +82,9 @@ def test_parse_shorthands():
 
 
 def test_parse_errors():
-    for bad in ("", "w^", "w^(", "q", "1 +", "w*0"):
+    # int() refuses an integer of more than 4300 digits of text by default.
+    for bad in ("", "w^", "w^(", "q", "1 +", "w*0", "1" * 5000,
+                "w*" + "1" * 5000):
         with pytest.raises(OrdinalParseError):
             parse_ordinal(bad)
 

@@ -1,9 +1,8 @@
 import pytest
 
-from pastlab.scheduling import (EnumerationTooLarge, Ln,
+from pastlab.scheduling import (EnumerationTooLarge, FunctionScheduler, Ln,
                                 PartialSchedule, RandomScheduler, Rn,
-                                bound, constant, enumerate_partial_schedules,
-                                from_function, interactive,
+                                bound, constant, interactive,
                                 iter_partial_schedules, SchedulerAbort,
                                 standard_extension)
 from pastlab.semantics import Direction
@@ -32,11 +31,11 @@ def test_standard_extension_agrees_on_domain():
 def test_enumerate_counts():
     # No nondeterminism: a single empty schedule.
     queries = collect_nondet_queries(parse("x := 1; x := 2"), 10)
-    assert enumerate_partial_schedules(10, queries) == [
+    assert list(iter_partial_schedules(10, queries)) == [
         PartialSchedule.of(10, {})]
     # A single choice up front: two schedules.
     queries = collect_nondet_queries(parse("{ x := 1 } [] { x := 2 }"), 3)
-    assert len(enumerate_partial_schedules(3, queries)) == 2
+    assert len(list(iter_partial_schedules(3, queries))) == 2
     # One loop iteration of the choice-then-coin loop: one reachable query.
     loop = parse("x := 0; y := 0; z := 1; while (x + y = 0) "
                  "{ { y := 0 } [] { y := 1 }; { x := 0 } <1/2> { x := 1 }; "
@@ -44,7 +43,8 @@ def test_enumerate_counts():
     depth_one_iteration = 8
     queries = collect_nondet_queries(loop, depth_one_iteration)
     assert len(queries) == 1
-    assert len(enumerate_partial_schedules(depth_one_iteration, queries)) == 2
+    assert len(list(iter_partial_schedules(depth_one_iteration,
+                                           queries))) == 2
 
 
 def test_enumeration_cap():
@@ -55,7 +55,7 @@ def test_enumeration_cap():
 
 def test_enumeration_covers_all_assignments():
     queries = [(), hist("Ln")]
-    schedules = enumerate_partial_schedules(1, queries)
+    schedules = list(iter_partial_schedules(1, queries))
     assert len(schedules) == 4
     answers = {tuple(ps.mapping()[q] for q in sorted(queries, key=len))
                for ps in schedules}
@@ -64,7 +64,7 @@ def test_enumeration_covers_all_assignments():
 
 def test_constant_and_function():
     assert constant(Ln).decide(hist("RnRn")) == Ln
-    parity = from_function(lambda h: Ln if len(h) % 2 == 0 else Rn)
+    parity = FunctionScheduler(lambda h: Ln if len(h) % 2 == 0 else Rn)
     assert parity.decide(()) == Ln
     assert parity.decide(hist("Lp")) == Rn
 
@@ -122,7 +122,7 @@ def test_bound_strict_alternation_at_k1():
 
 
 def test_bound_transparent_when_under_k():
-    inner = from_function(lambda h: Rn if len(h) == 1 else Ln)
+    inner = FunctionScheduler(lambda h: Rn if len(h) == 1 else Ln)
     site = object()
     answers = branch(bound(inner, 3), [site] * 3)
     assert answers == [inner.decide(tuple(answers[:i])) for i in range(3)]
@@ -207,11 +207,3 @@ def test_tree_independent_of_extension_beyond_size():
         left = build_tree(program, standard_extension(partial), size)
         right = build_tree(program, RightExtension(partial), size)
         assert left.to_json() == right.to_json()
-
-
-def test_partial_schedule_json_round_trip():
-    table = {hist("Ln"): Rn, (): Ln}
-    ps = PartialSchedule.of(1, table)
-    data = ps.to_json()
-    assert data == {"size": 1, "table": {"": "Ln", "Ln": "Rn"}}
-    assert PartialSchedule.from_json(data) == ps

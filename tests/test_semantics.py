@@ -6,8 +6,7 @@ import pytest
 from pastlab.semantics import (Direction, EMPTY_VALUATION, ExecState, Kind,
                                Successor, TerminalStepError, Valuation,
                                classify, eval_aexpr, eval_bexpr,
-                               exec_state_from_json, initial_state,
-                               is_terminal, step)
+                               initial_state, is_terminal, step)
 from pastlab.syntax import (EMPTY, Assign, Empty, Exit, If, NondetChoice,
                             ProbChoice, Seq, Skip, While, parse, parse_aexpr,
                             parse_bexpr)
@@ -176,17 +175,13 @@ def test_replayability(rng):
         assert step(state) == step(state)
 
 
-def test_exec_state_json_round_trip():
+def test_exec_state_to_json():
     program = parse("{ skip } <1/2> { exit }")
     state = initial_state(program)
     (left, _) = step(state)
     data = left.state.to_json()
     assert data["history"] == "Lp"
     assert data["prob"] == "1/2"
-    back = exec_state_from_json(data)
-    assert back.prob == left.state.prob
-    assert back.history == left.state.history
-    assert back.valuation == left.state.valuation
 
 
 # ---------------------------------------------------------------------------

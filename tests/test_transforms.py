@@ -5,7 +5,6 @@ import pytest
 from pastlab.certificates import check_proof_rule
 from pastlab.exploration import (artery_widths, collect_nondet_queries,
                                  exp_runtime_bounds, run_masses)
-from pastlab.ordinal import ZERO as ORD_ZERO, from_natural
 from pastlab.scheduling import (RandomScheduler, constant, Ln, Rn,
                                 iter_partial_schedules, standard_extension)
 from pastlab.semantics import Kind, head_redex, initial_state, is_terminal
@@ -14,8 +13,8 @@ from pastlab.transforms import (FrontierWidthError, NonConstantProbability,
                                 TransformError, TreeSpec, cantor_pair,
                                 emit_inc, emit_ordinal_program,
                                 emit_tree_reduction, encode_sequence,
-                                explicit_tree, is_knievel, ord_of_tree,
-                                rule_tree, to_knievel)
+                                explicit_tree, is_knievel, rule_tree,
+                                to_knievel)
 from certhelpers import (build_inc_graph, build_inc_rank1_capped,
                          build_inc_rank2, inc_least_unit_rsm)
 from conftest import scheduled_step
@@ -66,17 +65,6 @@ def test_sequence_encoding_injective():
         assert key not in codes
         codes[key] = seq
     assert encode_sequence((0, 0, 0)) == 0  # zero branch stays at code zero
-
-
-def test_ord_of_tree_examples():
-    assert ord_of_tree(explicit_tree([()])) == ORD_ZERO
-    assert ord_of_tree(explicit_tree([(), (0,)])) == from_natural(1)
-    path = explicit_tree([(), (0,), (0, 0), (0, 0, 0)])
-    assert ord_of_tree(path) == from_natural(3)
-    wide = explicit_tree([(), (0,), (1,), (1, 0)])
-    assert ord_of_tree(wide) == from_natural(2)
-    with pytest.raises(TransformError):
-        ord_of_tree(rule_tree("full"))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +148,7 @@ def test_to_knievel_refusals():
         to_knievel(parse("while (x = 0) { { x := 1 } <1/2> { skip } }"))
     with pytest.raises(FrontierWidthError):
         source = "; ".join("{ skip } <1/2> { skip }" for _ in range(9))
-        to_knievel(parse(source), max_width=8)
+        to_knievel(parse(source))
 
 
 def test_to_knievel_weight_bookkeeping_is_exact():
