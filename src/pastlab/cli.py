@@ -26,10 +26,12 @@ class CliError(Exception):
 
 def _read_program(path: str):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             source = handle.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         return parse(source)
     except ParseError as exc:
@@ -46,11 +48,18 @@ def _read_json(path: str):
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _open_output(path: str):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_output(text: str, path):
     if path is None or path == "-":
         print(text)
     else:
-        with open(path, "w") as handle:
+        with _open_output(path) as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
 
 
@@ -61,7 +70,7 @@ def _write_json(data, path):
         json.dump(data, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        with open(path, "w") as handle:
+        with _open_output(path) as handle:
             json.dump(data, handle, indent=2)
             handle.write("\n")
 

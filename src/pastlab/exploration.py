@@ -4,6 +4,13 @@ Everything here is exact: probabilities are rationals, and the quantitative
 outputs are prefixes of the defining series, never floating approximations.
 Depth is counted in applications of the transition relation.
 
+There are two walks.  The per-path walk (`_layers`) keeps one node per path
+of the execution tree, with its probability and history: `tree` and
+`ast-check` read it through `build_tree`.  The merged walk (`_merged_layers`)
+joins the paths that reach the same program, valuation and scheduler memory
+at the same depth into one entry holding their summed probability and path
+count: `run` and `runtime` read it through `run_masses`.
+
 The expected-runtime lower bound after k depths is
 
     L(k) = sum over j < k of (1 - terminal mass reached within j steps)
@@ -24,7 +31,7 @@ from typing import Callable, List, Optional
 from .semantics import (ONE, Direction, ExecState, Exit, ProgramState,
                         classify, head_redex, initial_state, is_terminal,
                         step, step_all, Kind)  # the tracer patches both steps
-from .syntax import NondetChoice, Program, print_rational, subterms
+from .syntax import Empty, NondetChoice, Program, print_rational, subterms
 from .scheduling import Scheduler, iter_partial_schedules  # tracer patches it
 
 ZERO = Fraction(0)
@@ -40,83 +47,97 @@ class StateSpaceNotClosed(Exception):
     """The reachable program-state space did not close within the bound."""
 
 
-def _layers(root, depth, node_cap, expand, visit, merge=False):
-    """Breadth-first walk of layers 0..depth of the tree below `root`.
-
-    A layer is a list of (item, paths) entries, where paths counts the tree
-    paths the entry stands for.  visit(d, layer) records layer d and returns
-    the entries to expand; expand(item) returns the children of item, each
-    of which joins the next layer with its parent's path count.  The root
-    and every generated entry count against node_cap.  No layer past
-    `depth` is generated, and the walk stops once nothing is left to expand.
-
-    With merge, items are (ExecState, scheduler memory) pairs and each
-    generated layer is merged as it is built (see _MergedLayer), so an entry
-    counts when its key first appears; without, every entry is one path.
-    """
-    layer = [(root, 1)]
+def _layers(root, depth, node_cap, expand, visit):
+    """Breadth-first walk of layers 0..depth of the tree below `root`, one
+    entry per path.  visit(d, layer) records layer d and returns the items
+    to expand; expand(item) returns the children of item, which join the
+    next layer.  The root and every child count against node_cap.  No layer
+    past `depth` is generated, and the walk stops once nothing is left to
+    expand."""
+    layer = [root]
     count = 1
     for d in range(depth + 1):
         frontier = visit(d, layer)
         if d == depth or not frontier:
             return
-        merged = _MergedLayer() if merge else None
         layer = []
-        for item, paths in frontier:
-            for child in expand(item):
-                if merged is None:
-                    layer.append((child, paths))
-                    count += 1
-                else:
-                    count += merged.add(child, paths)
+        for item in frontier:
+            layer += expand(item)
+            if count + len(layer) > node_cap:
+                raise ResourceCapExceeded(
+                    f"exploration exceeds {node_cap} states")
+        count += len(layer)
+
+
+def _merged_layers(program, scheduler, depth, node_cap, visit):
+    """Breadth-first walk of layers 0..depth of the execution tree of
+    `program` under `scheduler`.  The paths that reach the same (program,
+    valuation, scheduler memory) at the same depth are merged into one entry
+    [program, valuation, memory, mass, paths]: their summed probability and
+    their count.  visit(d, layer) records layer d and returns the entries to
+    expand; the walk returns what the last visit returned.  The root and
+    every new entry count against node_cap, and the walk stops as _layers
+    does.  A lone entry is not keyed, since the first hash of a program
+    recurses once per level of its term; nor is an entry whose program is
+    too deep to hash, which stays an entry of its own.
+
+    Each distinct (program, valuation) is stepped once per walk, at
+    probability 1 with an empty history, and the kept successors are scaled
+    by the mass of each entry that meets it.  The table is keyed by
+    structure, so equal residual programs built apart share one entry (and
+    from then on their successor programs).  The first program too deep to
+    hash drops the table: the rest of the walk steps every entry."""
+    if not _asks(program):
+        scheduler = None  # never consulted, so nothing to remember
+    start = initial_state(program)
+    layer = [[program, start.valuation, _start(scheduler), ONE, 1]]
+    count = 1
+    table = {}
+    for d in range(depth + 1):
+        frontier = visit(d, layer)
+        if d == depth or not frontier:
+            return frontier
+        layer, by_key = [], {}
+        for residual, valuation, memory, mass, paths in frontier:
+            kept = None
+            if table is not None:
+                key = (residual, valuation)
+                try:
+                    kept = table.get(key)
+                except RecursionError:
+                    table = None
+            if kept is None:
+                kept = step(ExecState(residual, valuation, ONE, ()))
+                if table is not None:
+                    table[key] = kept
+            for succ, after in _scheduled(scheduler, kept, memory):
+                child = succ.state
+                entry = [child.program, child.valuation, after,
+                         mass * child.prob, paths]
+                if layer:
+                    if not by_key:  # the lone entry so far is keyed now
+                        _filed(by_key, layer[0])
+                    same = _filed(by_key, entry)
+                    if same is not entry:
+                        same[3] += entry[3]
+                        same[4] += paths
+                        continue
+                layer.append(entry)
+                count += 1
                 if count > node_cap:
                     raise ResourceCapExceeded(
                         f"exploration exceeds {node_cap} states")
-        if merged is not None:
-            layer = merged.entries()
+    return []
 
 
-class _MergedLayer:
-    """A layer of (ExecState, memory) items merged by (program, valuation,
-    memory) as they arrive: one entry per key, carrying the summed prob and
-    path count and an empty history.
-
-    A lone entry is not keyed, since the first hash of a program recurses
-    once per level of its term; nor is a state whose program is too deep to
-    hash, which stays an entry of its own.
-    """
-
-    def __init__(self):
-        self._groups = []  # [state, memory, prob, paths]
-        self._by_key = {}
-
-    def _keyed(self, group):
-        """The group already under group's key, after filing group there
-        if the key is new; None when the program is too deep to hash."""
-        key = (group[0].program, group[0].valuation, group[1])
-        try:
-            return self._by_key.setdefault(key, group)
-        except RecursionError:
-            return None
-
-    def add(self, item, paths) -> int:
-        """Merge one item in; 1 if it made a new entry, else 0."""
-        state, memory = item
-        group = [state, memory, state.prob, paths]
-        if self._groups:
-            if not self._by_key:  # the lone entry so far is keyed now
-                self._keyed(self._groups[0])
-            same = self._keyed(group)
-            if same is not None and same is not group:
-                same[2] += state.prob
-                same[3] += paths
-                return 0
-        self._groups.append(group)
-        return 1
-
-    def entries(self):
-        return [((ExecState(state.program, state.valuation, prob, ()), memory),
-                 paths) for state, memory, prob, paths in self._groups]
+def _filed(by_key, entry):
+    """The entry already filed under entry's (program, valuation, memory),
+    after filing entry there if that key is new; entry itself when its
+    program is too deep to hash."""
+    try:
+        return by_key.setdefault((entry[0], entry[1], entry[2]), entry)
+    except RecursionError:
+        return entry
 
 
 def _scheduled(scheduler, successors, memory):
@@ -133,55 +154,6 @@ def _scheduled(scheduler, successors, memory):
     return [(succ, memory if succ.direction is None
              else scheduler.advance(memory, succ.direction, succ.site))
             for succ in successors]
-
-
-def _successor_states(scheduler):
-    """expand for walks whose items are (ExecState, memory) pairs.
-
-    The walk keeps a transition table: each distinct (program, valuation)
-    is stepped once, at probability 1 with an empty history, and a state
-    that meets it again scales the kept probabilities by its own and
-    extends its history by the kept directions.  The table is keyed by
-    structure, so equal residual programs built apart share one entry (and
-    from then on their successor programs).  The first state too deep to
-    hash drops the table: the rest of the walk steps every state."""
-    table = {}
-
-    def expand(item):
-        nonlocal table
-        state, memory = item
-        # A state at probability ONE (the object initial_state starts from,
-        # which steps that do not split pass through) with an empty history
-        # is its own entry: the kept successors are its successors.
-        own = state.prob is ONE and not state.history
-        kept = None
-        if table is not None:
-            key = (state.program, state.valuation)
-            try:
-                kept = table.get(key)
-            except RecursionError:
-                table = None
-        if kept is None:
-            if table is None:
-                kept, own = step(state), True
-            else:
-                kept = table[key] = step(state if own else ExecState(
-                    state.program, state.valuation, ONE, ()))
-        chosen = _scheduled(scheduler, kept, memory)
-        if own:
-            return [(succ.state, after) for succ, after in chosen]
-        out = []
-        for succ, after in chosen:
-            child = succ.state
-            # A step that does not split passes the probability it was
-            # given through, so only a genuine split scales.
-            prob = state.prob if child.prob is ONE \
-                else state.prob * child.prob
-            out.append((ExecState(child.program, child.valuation, prob,
-                                  state.history + child.history), after))
-        return out
-
-    return expand
 
 
 def _start(scheduler):
@@ -271,9 +243,8 @@ def build_tree(program: Program, scheduler: Scheduler, depth: int,
     levels = []
 
     def visit(d, layer):
-        levels.append([node for (node, _), _ in layer])
-        return [entry for entry in layer
-                if not is_terminal(entry[0][0].state)]
+        levels.append([node for node, _ in layer])
+        return [item for item in layer if not is_terminal(item[0].state)]
 
     def expand(item):
         node, memory = item
@@ -328,32 +299,30 @@ def run_masses(program: Program, scheduler: Scheduler, depth: int,
                node_cap: int = DEFAULT_NODE_CAP) -> MassProfile:
     hit = []
     dead = ZERO
-    frontier = []
 
     def visit(d, layer):
-        nonlocal dead, frontier
+        nonlocal dead
         frontier = []
         hit.append(ZERO)
         for entry in layer:
-            st = entry[0][0]
-            if target is not None and target(st.program_state()):
-                hit[d] += st.prob
-            elif not is_terminal(st):
+            program, valuation, _, mass, _ = entry
+            if target is not None and target(ProgramState(program,
+                                                          valuation)):
+                hit[d] += mass
+            elif not isinstance(program, Empty):
                 frontier.append(entry)
             elif target is None:
-                hit[d] += st.prob
+                hit[d] += mass
             else:
-                dead += st.prob
+                dead += mass
         return frontier
 
-    if not _asks(program):
-        scheduler = None  # never consulted, so nothing to remember
-    _layers((initial_state(program), _start(scheduler)), depth, node_cap,
-            _successor_states(scheduler), visit, merge=True)
+    frontier = _merged_layers(program, scheduler, depth, node_cap, visit)
     return MassProfile(depth, hit, dead,
-                       [st for (st, _), _ in frontier],
-                       [paths for _, paths in frontier],
-                       [memory for (_, memory), _ in frontier])
+                       [ExecState(program, valuation, mass, ())
+                        for program, valuation, _, mass, _ in frontier],
+                       [entry[4] for entry in frontier],
+                       [entry[2] for entry in frontier])
 
 
 def termination_prob_upto(program: Program, scheduler: Scheduler, k: int,
@@ -413,23 +382,10 @@ def collect_nondet_queries(program: Program, depth: int,
                            node_cap: int = DEFAULT_NODE_CAP) -> set:
     """Histories at which some execution can query the scheduler within
     `depth` steps, exploring both directions of every choice."""
-    queries = set()
-
-    def visit(d, layer):
-        live = []
-        for entry in layer:
-            st = entry[0][0]
-            if not is_terminal(st):
-                if classify(st.program_state()) == "nondet":
-                    queries.add(st.history)
-                live.append(entry)
-        return live
-
-    # The query of a layer-d state is made by step d + 1: layers 0..depth-1.
-    # With no scheduler, step expands both directions of a choice.
-    _layers((initial_state(program), None), depth - 1, node_cap,
-            _successor_states(None), visit)
-    return queries
+    # The query of a depth-d node is made by step d + 1: depths 0..depth-1.
+    tree = build_tree(program, None, depth - 1, node_cap)
+    return {node.state.history for level in tree.levels for node in level
+            if classify(node.state.program_state()) == "nondet"}
 
 
 def ast_semicheck(program: Program, delta: Fraction, n: int,
@@ -454,8 +410,9 @@ def ast_semicheck(program: Program, delta: Fraction, n: int,
 
 def artery_widths(program: Program, scheduler: Scheduler, depth: int,
                   node_cap: int = DEFAULT_NODE_CAP) -> list:
-    """Per-depth count of live states: non-terminal states whose next step
-    is not the collapse of an exit.
+    """Per-depth count of live paths: paths at a non-terminal state whose
+    next step is not the collapse of an exit.  The walk is merged, so the
+    node cap counts distinct states, not paths.
 
     Under the one-step exit convention every probabilistic skip-or-exit
     split necessarily leaves a transient exit-headed state at the next
@@ -465,13 +422,12 @@ def artery_widths(program: Program, scheduler: Scheduler, depth: int,
     widths = []
 
     def visit(d, layer):
-        live = [entry for entry in layer if not is_terminal(entry[0][0])]
-        widths.append(sum(not isinstance(head_redex(st.program), Exit)
-                          for (st, _), _ in live))
+        live = [entry for entry in layer if not isinstance(entry[0], Empty)]
+        widths.append(sum(paths for program, _, _, _, paths in live
+                          if not isinstance(head_redex(program), Exit)))
         return live
 
-    _layers((initial_state(program), _start(scheduler)), depth, node_cap,
-            _successor_states(scheduler), visit)
+    _merged_layers(program, scheduler, depth, node_cap, visit)
     return widths
 
 

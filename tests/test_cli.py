@@ -43,6 +43,42 @@ def test_missing_file(capsys):
     assert main(["parse", "/no/such/file.pgcl"]) == 2
 
 
+@pytest.mark.parametrize("command", ["parse", "run", "knievel"])
+def test_program_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "bytes.pgcl"
+    path.write_bytes(b"\xff\xfe")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: not UTF-8 text: ")
+    assert captured.err.count("\n") == 1
+
+
+# Every command that writes to -o PATH; PROGRAM is a program file.
+WRITERS = {
+    "tree": ["tree", "PROGRAM", "--depth", "3"],
+    "graph": ["graph", "PROGRAM", "--bound", "50"],
+    "knievel": ["knievel", "PROGRAM", "--transform"],
+    "emit": ["emit", "reduction", "--tree", "all-zeros"],
+    "hydra-compile": ["hydra", "compile", "--tree", "((()))"],
+}
+
+
+@pytest.mark.parametrize("argv", WRITERS.values(), ids=WRITERS.keys())
+@pytest.mark.parametrize("target", ["missing/out", "."],
+                         ids=["in-missing-directory", "is-directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv, target):
+    program = tmp_path / "simple.pgcl"
+    program.write_text("x := 1\n")
+    out = tmp_path / target
+    argv = [str(program) if arg == "PROGRAM" else arg for arg in argv]
+    assert main(argv + ["-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_runtime_output(geometric_file, capsys):
     assert main(["runtime", geometric_file, "--scheduler", "const:Ln",
                  "--depth", "64"]) == 0

@@ -15,7 +15,7 @@ from pastlab.scheduling import (RandomScheduler, Scheduler, constant,
                                 iter_partial_schedules, parse_scheduler_spec,
                                 standard_extension, Ln, Rn)
 from pastlab.semantics import Kind, head_redex, initial_state, is_terminal
-from pastlab.syntax import NondetChoice, parse, subterms
+from pastlab.syntax import Exit, NondetChoice, parse, subterms
 from pastlab.transforms import emit_inc
 from conftest import (ballot_walk_oracle, geometric_series_limit,
                       random_active_program, random_program, scheduled_step)
@@ -241,6 +241,22 @@ def test_program_too_deep_to_hash_runs_per_path():
     assert profile.frontier_paths == [1, 1]
     assert profile.frontier_mass() == 1
     assert all(st.history == () for st in profile.frontier)
+
+
+def test_artery_widths_count_paths_on_merged_layers():
+    # By depth 30 paths of the walk merge.  The widths still count live,
+    # non-exit-headed paths; the node cap counts merged entries.
+    scheduler = constant(Ln)
+    tree = build_tree(RANDOM_WALK, scheduler, 30)
+    widths = [sum(not is_terminal(node.state) and
+                  not isinstance(head_redex(node.state.program), Exit)
+                  for node in level) for level in tree.levels]
+    assert artery_widths(RANDOM_WALK, scheduler, 30) == widths
+    needed = sum(per_path_reference(tree, scheduler)[4])
+    assert needed < tree.node_count()
+    artery_widths(RANDOM_WALK, scheduler, 30, node_cap=needed)
+    with pytest.raises(ResourceCapExceeded):
+        artery_widths(RANDOM_WALK, scheduler, 30, node_cap=needed - 1)
 
 
 def test_termination_prob_trivial():
