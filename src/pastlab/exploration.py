@@ -4,12 +4,12 @@ Everything here is exact: probabilities are rationals, and the quantitative
 outputs are prefixes of the defining series, never floating approximations.
 Depth is counted in applications of the transition relation.
 
-There are two walks.  The per-path walk (`_layers`) keeps one node per path
-of the execution tree, with its probability and history: `tree` and
-`ast-check` read it through `build_tree`.  The merged walk (`_merged_layers`)
-joins the paths that reach the same program, valuation and scheduler memory
-at the same depth into one entry holding their summed probability and path
-count: `run` and `runtime` read it through `run_masses`.
+There are two walks.  The per-path walk (`build_tree`) keeps one node per
+path of the execution tree, with its probability and history: `tree` and
+`ast-check` read it.  The merged walk (`_merged_layers`) joins the paths
+that reach the same program, valuation and scheduler memory at the same
+depth into one entry holding their summed probability and path count:
+`run` and `runtime` read it through `run_masses`.
 
 The expected-runtime lower bound after k depths is
 
@@ -29,7 +29,7 @@ from itertools import zip_longest
 from typing import Callable, List, Optional
 
 from .semantics import (ONE, Direction, ExecState, Exit, ProgramState,
-                        classify, head_redex, initial_state, is_terminal,
+                        head_redex, initial_state, is_terminal,
                         step, step_all, Kind)  # the tracer patches both steps
 from .syntax import Empty, NondetChoice, Program, print_rational, subterms
 from .scheduling import Scheduler, iter_partial_schedules  # tracer patches it
@@ -47,28 +47,6 @@ class StateSpaceNotClosed(Exception):
     """The reachable program-state space did not close within the bound."""
 
 
-def _layers(root, depth, node_cap, expand, visit):
-    """Breadth-first walk of layers 0..depth of the tree below `root`, one
-    entry per path.  visit(d, layer) records layer d and returns the items
-    to expand; expand(item) returns the children of item, which join the
-    next layer.  The root and every child count against node_cap.  No layer
-    past `depth` is generated, and the walk stops once nothing is left to
-    expand."""
-    layer = [root]
-    count = 1
-    for d in range(depth + 1):
-        frontier = visit(d, layer)
-        if d == depth or not frontier:
-            return
-        layer = []
-        for item in frontier:
-            layer += expand(item)
-            if count + len(layer) > node_cap:
-                raise ResourceCapExceeded(
-                    f"exploration exceeds {node_cap} states")
-        count += len(layer)
-
-
 def _merged_layers(program, scheduler, depth, node_cap, visit):
     """Breadth-first walk of layers 0..depth of the execution tree of
     `program` under `scheduler`.  The paths that reach the same (program,
@@ -76,10 +54,12 @@ def _merged_layers(program, scheduler, depth, node_cap, visit):
     [program, valuation, memory, mass, paths]: their summed probability and
     their count.  visit(d, layer) records layer d and returns the entries to
     expand; the walk returns what the last visit returned.  The root and
-    every new entry count against node_cap, and the walk stops as _layers
-    does.  A lone entry is not keyed, since the first hash of a program
-    recurses once per level of its term; nor is an entry whose program is
-    too deep to hash, which stays an entry of its own.
+    every new entry count against node_cap.  No layer past `depth` is
+    generated, and the walk stops once nothing is left to expand.  A lone
+    entry is not keyed, since the first hash of a program recurses once per
+    level of its term; nor is an entry whose program is too deep to hash,
+    which stays an entry of its own.  Each entry is keyed at most once, so
+    a first entry too deep to hash is tried once per layer.
 
     Each distinct (program, valuation) is stepped once per walk, at
     probability 1 with an empty history, and the kept successors are scaled
@@ -97,7 +77,7 @@ def _merged_layers(program, scheduler, depth, node_cap, visit):
         frontier = visit(d, layer)
         if d == depth or not frontier:
             return frontier
-        layer, by_key = [], {}
+        layer, by_key = [], None
         for residual, valuation, memory, mass, paths in frontier:
             kept = None
             if table is not None:
@@ -115,7 +95,8 @@ def _merged_layers(program, scheduler, depth, node_cap, visit):
                 entry = [child.program, child.valuation, after,
                          mass * child.prob, paths]
                 if layer:
-                    if not by_key:  # the lone entry so far is keyed now
+                    if by_key is None:  # the lone entry so far is keyed now
+                        by_key = {}
                         _filed(by_key, layer[0])
                     same = _filed(by_key, entry)
                     if same is not entry:
@@ -239,23 +220,28 @@ class ExecTree:
 def build_tree(program: Program, scheduler: Scheduler, depth: int,
                node_cap: int = DEFAULT_NODE_CAP) -> ExecTree:
     """Breadth-first execution tree from (program, zero valuation, 1, empty
-    history) down to the depth cap.  Terminal states are leaves."""
-    levels = []
-
-    def visit(d, layer):
-        levels.append([node for node, _ in layer])
-        return [item for item in layer if not is_terminal(item[0].state)]
-
-    def expand(item):
-        node, memory = item
-        stepped = _scheduled(scheduler, step(node.state), memory)
-        node.children = [(succ.kind, TreeNode(succ.state, node.depth + 1))
-                         for succ, _ in stepped]
-        return [(child, after)
-                for (_, child), (_, after) in zip(node.children, stepped)]
-
+    history) down to the depth cap.  Terminal states are leaves.  The root
+    and every child count against node_cap."""
     root = TreeNode(initial_state(program), 0)
-    _layers((root, _start(scheduler)), depth, node_cap, expand, visit)
+    layer = [(root, _start(scheduler))]
+    levels = []
+    count = 1
+    for d in range(depth + 1):
+        levels.append([node for node, _ in layer])
+        frontier = [item for item in layer if not is_terminal(item[0].state)]
+        if d == depth or not frontier:
+            break
+        layer = []
+        for node, memory in frontier:
+            stepped = _scheduled(scheduler, step(node.state), memory)
+            node.children = [(succ.kind, TreeNode(succ.state, d + 1))
+                             for succ, _ in stepped]
+            layer += [(child, after) for (_, child), (_, after)
+                      in zip(node.children, stepped)]
+            if count + len(layer) > node_cap:
+                raise ResourceCapExceeded(
+                    f"exploration exceeds {node_cap} states")
+        count += len(layer)
     return ExecTree(root, depth, levels)
 
 
@@ -385,7 +371,7 @@ def collect_nondet_queries(program: Program, depth: int,
     # The query of a depth-d node is made by step d + 1: depths 0..depth-1.
     tree = build_tree(program, None, depth - 1, node_cap)
     return {node.state.history for level in tree.levels for node in level
-            if classify(node.state.program_state()) == "nondet"}
+            if isinstance(head_redex(node.state.program), NondetChoice)}
 
 
 def ast_semicheck(program: Program, delta: Fraction, n: int,
@@ -546,18 +532,21 @@ def collapse_to_state_graph(program: Program, bound: int) -> StateGraph:
     start = ProgramState(program, initial_state(program).valuation)
     states = [start]
     index = {start: 0}
-    kinds = [classify(start)]
+    kinds = [None]  # set when the node is taken from todo
     edges = {}
     todo = [0]
     while todo:
         node = todo.pop()
         ps = states[node]
-        kind = kinds[node]
-        if kind == "terminal":
+        if isinstance(ps.program, Empty):
+            kinds[node] = "terminal"
             continue
+        successors = step(ExecState(ps.program, ps.valuation, ONE, ()))
+        kind = kinds[node] = ("nondet" if successors[0].site is not None
+                              else "prob" if len(successors) == 2
+                              else "deterministic")
         out = []
-        exec_state = ExecState(ps.program, ps.valuation, ONE, ())
-        for succ in step(exec_state):
+        for succ in successors:
             child = succ.state.program_state()
             if child not in index:
                 if len(states) >= bound:
@@ -565,7 +554,7 @@ def collapse_to_state_graph(program: Program, bound: int) -> StateGraph:
                         f"state space not closed within {bound} states")
                 index[child] = len(states)
                 states.append(child)
-                kinds.append(classify(child))
+                kinds.append(None)
                 todo.append(index[child])
             if kind == "nondet":
                 label = "nondet-left" if succ.direction is Direction.Ln \

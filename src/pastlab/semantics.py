@@ -5,7 +5,10 @@ probability is the exact chance of reaching this state from the initial one;
 the history records the direction taken at every probabilistic and
 nondeterministic choice.  step() is the transition relation itself: it
 returns both arms of a nondeterministic choice, and exploration keeps the
-one a scheduler picks (see scheduling).
+one a scheduler picks (see scheduling).  It alone classifies transitions:
+a step is nondeterministic when its first successor names a site,
+probabilistic when it has two successors otherwise, and deterministic when
+it has one (a forced coin included).
 
 Step conventions:
   * every inference rule application is exactly one step, including the
@@ -256,72 +259,45 @@ def step(state: ExecState) -> StepOutcome:
     Returns one successor, or two: for a genuine probabilistic split, whose
     successor probabilities sum to the parent's, and for a nondeterministic
     choice, whose two arms each keep the parent's probability and name the
-    choice as their site.  The successor programs come from the program's
-    plan, so stepping one program object twice returns the same ones.
+    choice as their site.  A coin's probability is clamped to [0, 1] and an
+    arm of factor 0 is dropped, so a forced coin has one successor.  The
+    successor programs come from the program's plan, so stepping one
+    program object twice returns the same ones.
     """
     if is_terminal(state):
         raise TerminalStepError("cannot step a terminal state")
     plan = _plan(state.program)
     redex = plan[0]
     valuation, prob, history = state.valuation, state.prob, state.history
-    det = Kind.DETERMINISTIC
-    if isinstance(redex, Assign):
-        valuation = valuation.set(redex.var,
-                                  eval_aexpr(redex.expr, valuation))
-    elif isinstance(redex, (If, While)):
-        chosen = plan[1] if eval_bexpr(redex.guard, valuation) else plan[2]
-        return [Successor(ExecState(chosen, valuation, prob, history),
-                          det, None, None)]
-    elif isinstance(redex, ProbChoice):
-        left, right = plan[1], plan[2]
-        p = eval_aexpr(redex.prob, valuation)
-        if p <= 0:
-            return [Successor(ExecState(right, valuation, prob,
-                                        history + (Direction.Rp,)),
-                              Kind.PROB_RIGHT, Direction.Rp, None)]
-        if p >= 1:
-            return [Successor(ExecState(left, valuation, prob,
-                                        history + (Direction.Lp,)),
-                              Kind.PROB_LEFT, Direction.Lp, None)]
-        return [Successor(ExecState(left, valuation, prob * p,
-                                    history + (Direction.Lp,)),
-                          Kind.PROB_LEFT, Direction.Lp, None),
-                Successor(ExecState(right, valuation, prob * (1 - p),
-                                    history + (Direction.Rp,)),
-                          Kind.PROB_RIGHT, Direction.Rp, None)]
+    if isinstance(redex, ProbChoice):
+        p = min(max(eval_aexpr(redex.prob, valuation), ZERO), ONE)
+        arms = ((plan[1], p, Kind.PROB_LEFT, Direction.Lp, None),
+                (plan[2], 1 - p, Kind.PROB_RIGHT, Direction.Rp, None))
     elif isinstance(redex, NondetChoice):
-        left, right = plan[1], plan[2]
-        return [Successor(ExecState(left, valuation, prob,
-                                    history + (Direction.Ln,)),
-                          Kind.NONDET, Direction.Ln, redex),
-                Successor(ExecState(right, valuation, prob,
-                                    history + (Direction.Rn,)),
-                          Kind.NONDET, Direction.Rn, redex)]
-    return [Successor(ExecState(plan[1], valuation, prob, history),
-                      det, None, None)]
+        arms = ((plan[1], ONE, Kind.NONDET, Direction.Ln, redex),
+                (plan[2], ONE, Kind.NONDET, Direction.Rn, redex))
+    else:
+        after = plan[1]
+        if isinstance(redex, Assign):
+            valuation = valuation.set(redex.var,
+                                      eval_aexpr(redex.expr, valuation))
+        elif isinstance(redex, (If, While)) \
+                and not eval_bexpr(redex.guard, valuation):
+            after = plan[2]
+        return [Successor(ExecState(after, valuation, prob, history),
+                          Kind.DETERMINISTIC, None, None)]
+    return [Successor(ExecState(program, valuation,
+                                prob if factor == 1 else prob * factor,
+                                history + (direction,)),
+                      kind, direction, site)
+            for program, factor, kind, direction, site in arms if factor]
 
 
+# No code calls step_all: perfbench/tracing.py reads semantics.step_all and
+# patches exploration.step_all by name, beside step.
 step_all = step
 
 
 def head_redex(program: Program) -> Program:
     """The subprogram the next step will act on (Seq spines peeled)."""
     return program if isinstance(program, Empty) else _plan(program)[0]
-
-
-def classify(ps: ProgramState) -> str:
-    """terminal / deterministic / nondet / prob, per the next step.
-
-    Forced probabilistic branches and guard-directed steps count as
-    deterministic: they have a single successor under every scheduler.
-    """
-    if isinstance(ps.program, Empty):
-        return "terminal"
-    redex = head_redex(ps.program)
-    if isinstance(redex, NondetChoice):
-        return "nondet"
-    if isinstance(redex, ProbChoice):
-        p = eval_aexpr(redex.prob, ps.valuation)
-        if 0 < p < 1:
-            return "prob"
-    return "deterministic"

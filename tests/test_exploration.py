@@ -1,9 +1,11 @@
 import json
 import pathlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from pastlab import exploration
 from pastlab.exploration import (ResourceCapExceeded, StateGraph,
                                  StateSpaceNotClosed, artery_widths,
                                  ast_semicheck, build_tree,
@@ -243,6 +245,25 @@ def test_program_too_deep_to_hash_runs_per_path():
     assert all(st.history == () for st in profile.frontier)
 
 
+def test_layer_head_too_deep_to_hash_is_keyed_once(monkeypatch):
+    # Each failed hash of a long program recurses to the recursion limit,
+    # so a layer whose first entry cannot be keyed must not retry it for
+    # every later entry of the layer.
+    filed = []
+    real = exploration._filed
+
+    def counting(by_key, entry):
+        filed.append(entry)
+        return real(by_key, entry)
+
+    monkeypatch.setattr(exploration, "_filed", counting)
+    body = "; ".join(f"y := {i}" for i in range(1500))
+    program = parse("{ skip } <1/2> { skip }; " * 6 + body)
+    run_masses(program, constant(Ln), 20)
+    most = max(Counter(map(id, filed)).values())
+    assert most == 1
+
+
 def test_artery_widths_count_paths_on_merged_layers():
     # By depth 30 paths of the walk merge.  The widths still count live,
     # non-exit-headed paths; the node cap counts merged entries.
@@ -444,6 +465,64 @@ def test_collapse_straight_line_is_path():
     graph = collapse_to_state_graph(program, 50)
     assert all(len(graph.edges.get(i, ())) <= 1 for i in range(len(graph)))
     assert len(graph) == 6
+
+
+# A nondeterministic choice, a coin <x> forced right at x = 0 and left at
+# x = 1, a genuine <1/3> split, coins forced by <0> and <2>, and a fair coin
+# whose two arms reach one state.
+PINNED = ["{ x := 1 } [] { skip }", "{ skip } <x> { exit }",
+          "{ skip } <1/3> { exit }", "{ exit } <0> { skip }",
+          "{ skip } <2> { exit }", "{ skip } <1/2> { skip }"]
+
+
+def test_graph_pins_node_kinds_and_edge_labels():
+    # A forced coin is a deterministic node with one det edge and no prob;
+    # prob appears only on the prob-left/prob-right edges of a real split.
+    rest = ["; ".join(PINNED[i:]) for i in range(len(PINNED))]
+    nodes = [
+        ("nondet", f"{rest[0]} | "),
+        ("deterministic", f"x := 1; {rest[1]} | "),
+        ("deterministic", f"skip; {rest[1]} | "),
+        ("deterministic", f"bot; {rest[1]} | "),
+        ("deterministic", f"{rest[1]} | "),            # <x> forced right
+        ("deterministic", f"exit; {rest[2]} | "),
+        ("terminal", "bot | "),
+        ("deterministic", f"bot; {rest[1]} | x=1"),
+        ("deterministic", f"{rest[1]} | x=1"),         # <x> forced left
+        ("deterministic", f"skip; {rest[2]} | x=1"),
+        ("deterministic", f"bot; {rest[2]} | x=1"),
+        ("prob", f"{rest[2]} | x=1"),
+        ("deterministic", f"skip; {rest[3]} | x=1"),
+        ("deterministic", f"exit; {rest[3]} | x=1"),
+        ("terminal", "bot | x=1"),
+        ("deterministic", f"bot; {rest[3]} | x=1"),
+        ("deterministic", f"{rest[3]} | x=1"),         # <0>
+        ("deterministic", f"skip; {rest[4]} | x=1"),
+        ("deterministic", f"bot; {rest[4]} | x=1"),
+        ("deterministic", f"{rest[4]} | x=1"),         # <2>
+        ("deterministic", f"skip; {rest[5]} | x=1"),
+        ("deterministic", f"bot; {rest[5]} | x=1"),
+        ("prob", f"{rest[5]} | x=1"),
+        ("deterministic", "skip | x=1"),
+    ]
+    edges = [(0, "nondet-left", 1), (0, "nondet-right", 2), (1, "det", 7),
+             (2, "det", 3), (3, "det", 4), (4, "det", 5), (5, "det", 6),
+             (7, "det", 8), (8, "det", 9), (9, "det", 10), (10, "det", 11),
+             (11, "prob-left", 12, "1/3"), (11, "prob-right", 13, "2/3"),
+             (12, "det", 15), (13, "det", 14), (15, "det", 16),
+             (16, "det", 17), (17, "det", 18), (18, "det", 19),
+             (19, "det", 20), (20, "det", 21), (21, "det", 22),
+             (22, "prob-left", 23, "1/2"), (22, "prob-right", 23, "1/2"),
+             (23, "det", 14)]
+    graph = collapse_to_state_graph(parse("; ".join(PINNED)), 50)
+    assert graph.to_json() == {
+        "initial": 0,
+        "nodes": [{"id": i, "key": key, "kind": kind}
+                  for i, (kind, key) in enumerate(nodes)],
+        "edges": [{"from": src, "label": label, "to": dst,
+                   **({"prob": prob[0]} if prob else {})}
+                  for src, label, dst, *prob in edges],
+    }
 
 
 def test_collapse_unbounded_counter_refused():

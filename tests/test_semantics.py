@@ -5,8 +5,8 @@ import pytest
 
 from pastlab.semantics import (Direction, EMPTY_VALUATION, ExecState, Kind,
                                Successor, TerminalStepError, Valuation,
-                               classify, eval_aexpr, eval_bexpr,
-                               initial_state, is_terminal, step)
+                               eval_aexpr, eval_bexpr, initial_state,
+                               is_terminal, step)
 from pastlab.syntax import (EMPTY, Assign, Empty, Exit, If, NondetChoice,
                             ProbChoice, Seq, Skip, While, parse, parse_aexpr,
                             parse_bexpr)
@@ -123,19 +123,6 @@ def test_is_terminal():
 def test_step_terminal_is_contract_violation():
     with pytest.raises(TerminalStepError):
         step(initial_state(parse("bot")))
-
-
-def test_classify():
-    assert classify(initial_state(parse("bot")).program_state()) == "terminal"
-    assert classify(initial_state(parse("x := 1; skip")).program_state()) \
-        == "deterministic"
-    assert classify(initial_state(
-        parse("{ skip } [] { exit }; skip")).program_state()) == "nondet"
-    assert classify(initial_state(
-        parse("{ skip } <1/2> { exit }")).program_state()) == "prob"
-    # Forced probabilistic branches count as deterministic.
-    assert classify(initial_state(
-        parse("{ skip } <2> { exit }")).program_state()) == "deterministic"
 
 
 def test_probability_conservation_and_history_discipline(rng):
