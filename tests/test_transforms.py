@@ -1,3 +1,6 @@
+import hashlib
+import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +11,7 @@ from pastlab.exploration import (artery_widths, collect_nondet_queries,
 from pastlab.scheduling import (RandomScheduler, constant, Ln, Rn,
                                 iter_partial_schedules, standard_extension)
 from pastlab.semantics import Kind, head_redex, initial_state, is_terminal
-from pastlab.syntax import Cmp, Var, While, parse
+from pastlab.syntax import Cmp, Var, While, parse, print_program
 from pastlab.transforms import (FrontierWidthError, NonConstantProbability,
                                 TransformError, TreeSpec, cantor_pair,
                                 emit_inc, emit_ordinal_program,
@@ -17,7 +20,8 @@ from pastlab.transforms import (FrontierWidthError, NonConstantProbability,
                                 to_knievel)
 from certhelpers import (build_inc_graph, build_inc_rank1_capped,
                          build_inc_rank2, inc_least_unit_rsm)
-from conftest import scheduled_step
+from conftest import (random_active_program, random_program,
+                      scheduled_step)
 
 SPIN = parse("while (true) { skip }")
 
@@ -79,12 +83,41 @@ def test_to_knievel_trivial_source_closes():
         assert bounds.closed
 
 
+KNIEVEL_SOURCES = [
+    "x := 1", "while (true) { skip }",
+    "{ x := 1 } <1/3> { x := 2 }; while (x > 1) { x := x - 1 }",
+    "{ y := 1 } [] { y := 2 }; x := y"]
+
+
 def test_to_knievel_output_is_normal_form():
-    sources = ["x := 1", "while (true) { skip }",
-               "{ x := 1 } <1/3> { x := 2 }; while (x > 1) { x := x - 1 }",
-               "{ y := 1 } [] { y := 2 }; x := y"]
-    for source in sources:
+    for source in KNIEVEL_SOURCES:
         assert is_knievel(to_knievel(parse(source)))
+
+
+def test_to_knievel_output_is_pinned():
+    # SHA-256 of every printed rebuild, or the refusal's type and text, over
+    # the example programs, hand-written sources (forced coins <0> and <2>
+    # included) and seeded random programs, under two horizons and one that
+    # is refused after every other refusal.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    programs = [parse(path.read_text())
+                for path in sorted((root / "programs").glob("*.pgcl"))]
+    programs += [parse(source) for source in KNIEVEL_SOURCES + [
+        "{ skip } <0> { x := 1 }; { exit } <2> { skip }; exit",
+        "; ".join("{ skip } <1/2> { skip }" for _ in range(9))]]
+    rng = random.Random(7)
+    programs += [random_program(rng, 4) if i % 2
+                 else random_active_program(rng) for i in range(3000)]
+    digest = hashlib.sha256()
+    for program in programs:
+        for horizon in ("double", "3", "x"):
+            try:
+                text = print_program(to_knievel(program, horizon))
+            except TransformError as exc:
+                text = f"{type(exc).__name__}: {exc}"
+            digest.update(text.encode() + b"\0")
+    assert digest.hexdigest() == (
+        "2ea8a3d45df3ebc718f06627c9d4a8622912e2b726a7502c71727619ac753f68")
 
 
 def test_to_knievel_exposes_nondet_choices():
