@@ -57,13 +57,13 @@ class RsmCert:
     def from_json(data: dict, graph: StateGraph,
                   index: Optional[dict] = None) -> "RsmCert":
         """`index` is the graph's key index, when the caller already has it."""
+        _fields(data, ("epsilon", "h"))
         if index is None:
             index = graph.key_index()
-        h = _by_node(data, "h", index,
-                     lambda v: _read(read_rational, v, "value"))
+        h = _by_node(data, "h", index, lambda v: _read(_rational, v, "value"))
         if "epsilon" not in data:
             raise CertificateError("certificate has no epsilon")
-        return RsmCert(h, _read(read_rational, data["epsilon"], "epsilon"))
+        return RsmCert(h, _read(_rational, data["epsilon"], "epsilon"))
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,7 @@ class RuleCert:
 
     @staticmethod
     def from_json(data: dict, graph: StateGraph) -> "RuleCert":
+        _fields(data, ("g", "k"))
         index = graph.key_index()
         g = _by_node(data, "g", index,
                      lambda v: _read(parse_ordinal, v, "rank"))
@@ -90,11 +91,19 @@ class RuleCert:
         return RuleCert(g, k)
 
 
+def _fields(data, allowed) -> None:
+    """Refuse a certificate that is not a JSON object of allowed fields."""
+    if not isinstance(data, dict):
+        raise CertificateError("certificate is not a JSON object")
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise CertificateError(f"certificate has unknown field "
+                               f"{reprlib.repr(unknown[0])}")
+
+
 def _by_node(data: dict, name: str, index: dict, read) -> dict:
     """node id -> read(payload) for the certificate's map `name` (empty
     when absent) from state keys to payloads."""
-    if not isinstance(data, dict):
-        raise CertificateError("certificate is not a JSON object")
     entries = data.get(name, {})
     if not isinstance(entries, dict):
         raise CertificateError(f"certificate {name!r} is not a JSON object")
@@ -104,6 +113,14 @@ def _by_node(data: dict, name: str, index: dict, read) -> dict:
             raise CertificateError(f"certificate names unknown state {key!r}")
         out[index[key]] = read(value)
     return out
+
+
+def _rational(text: str) -> Fraction:
+    """read_rational(text), refusing the digit separators and surrounding
+    whitespace that Fraction accepts and pastlab never prints."""
+    if "_" in text or text != text.strip():
+        raise ValueError(f"not a plain rational: {text!r}")
+    return read_rational(text)
 
 
 def _read(parse, value, what: str):

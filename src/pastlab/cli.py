@@ -12,7 +12,9 @@ import argparse
 import json
 import os
 import random
+import reprlib
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import certificates, exploration, hydra, scheduling, transforms
@@ -38,10 +40,20 @@ def _read_program(path: str):
         raise CliError(f"{path}: {exc}") from exc
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, refusing a key given twice: json would keep
+    only its last value."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"duplicate key {reprlib.repr(key)}")
+    return data
+
+
 def _read_json(path: str):
     try:
         with open(path) as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # also an integer too long to convert
@@ -265,7 +277,8 @@ def cmd_knievel(args) -> int:
 def _tree_spec(text: str) -> transforms.TreeSpec:
     try:
         if text.strip().startswith("{"):
-            return transforms.TreeSpec.from_json(json.loads(text))
+            return transforms.TreeSpec.from_json(
+                json.loads(text, object_pairs_hook=_unique_keys))
         if os.path.exists(text):
             return transforms.TreeSpec.from_json(_read_json(text))
         return transforms.rule_tree(text)

@@ -23,6 +23,7 @@ every path at its first state satisfying the target predicate.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
@@ -488,6 +489,9 @@ class StateGraph:
         names the first node or edge that differs."""
         from .syntax import parse
         nodes = data["nodes"]
+        unknown = sorted(set(data) - {"initial", "nodes", "edges"})
+        if unknown:
+            raise ValueError(f"unknown field {reprlib.repr(unknown[0])}")
         initial = data.get("initial", 0)
         if initial not in range(len(nodes)):
             raise ValueError(f"initial node {initial} is missing")

@@ -15,7 +15,10 @@ Three emitters produce normal-form programs:
     bound the bound doubles and a cheering loop of length one over the
     current continuation probability adds a constant to the expected
     runtime.  The rebuilt program has a finite expected runtime under a
-    scheduler exactly when the source does.
+    scheduler exactly when the source does.  One pass over the source
+    compiles each statement straight into its step, a function from a slot
+    to what that slot does at the statement's pc; each round dispatches
+    every live slot on its pc.
 
   * emit_tree_reduction turns a tree description into the guessing program
     whose schedulers walk branches of the tree: a nondeterministically
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional
+from typing import Optional
 
 from .syntax import (ABin, Assign, BBin, BoolLit, Cmp, EMPTY, EXIT, Empty,
                      Exit, If, NondetChoice, ProbChoice, Program, RatLit, SKIP,
@@ -107,13 +110,6 @@ class TreeSpec:
         if self.rule == "all-zeros":
             return all(x == 0 for x in seq)
         return len(seq) <= self.depth
-
-    def to_json(self) -> dict:
-        if self.explicit is not None:
-            return {"explicit": sorted(list(s) for s in self.explicit)}
-        if self.rule == "bounded-depth":
-            return {"rule": f"bounded-depth({self.depth})"}
-        return {"rule": self.rule}
 
     @staticmethod
     def from_json(data) -> "TreeSpec":
@@ -335,82 +331,6 @@ def emit_ordinal_program(spec: TreeSpec) -> Program:
 MAX_WIDTH = 8  # simultaneous source branches the simulator has slots for
 
 
-@dataclass
-class _Instr:
-    kind: str  # noop / assign / test / nondet / prob / exit
-    payload: tuple = ()
-    next: int = -1
-
-
-def _compile_instructions(program: Program):
-    """Flatten a program into single-step instructions with explicit
-    successors.  The halt address is len(instructions)."""
-    instrs: List[_Instr] = []
-    prob_in_loop = [False]
-
-    def emit(instr) -> int:
-        instrs.append(instr)
-        return len(instrs) - 1
-
-    def compile_node(p, next_pc, loop_depth) -> int:
-        if isinstance(p, Empty):
-            return next_pc
-        if isinstance(p, Skip):
-            return emit(_Instr("noop", (), next_pc))
-        if isinstance(p, Exit):
-            return emit(_Instr("exit", ()))
-        if isinstance(p, Assign):
-            return emit(_Instr("assign", (p.var, p.expr), next_pc))
-        if isinstance(p, Seq):
-            rest = compile_node(p.rest, next_pc, loop_depth)
-            return compile_node(p.first, rest, loop_depth)
-        if isinstance(p, If):
-            then = compile_node(p.then, next_pc, loop_depth)
-            orelse = compile_node(p.orelse, next_pc, loop_depth)
-            return emit(_Instr("test", (p.guard, then, orelse)))
-        if isinstance(p, While):
-            test = emit(_Instr("test", (p.guard, -1, next_pc)))
-            body = compile_node(p.body, test, loop_depth + 1)
-            instrs[test] = _Instr("test", (p.guard, body, next_pc))
-            return test
-        if isinstance(p, NondetChoice):
-            left = compile_node(p.left, next_pc, loop_depth)
-            right = compile_node(p.right, next_pc, loop_depth)
-            return emit(_Instr("nondet", (left, right)))
-        if isinstance(p, ProbChoice):
-            if any(isinstance(t, Var) for t in subterms(p.prob)):
-                raise NonConstantProbability(
-                    "probabilistic choice with state-dependent probability")
-            value = eval_aexpr(p.prob, EMPTY_VALUATION)
-            left = compile_node(p.left, next_pc, loop_depth)
-            right = compile_node(p.right, next_pc, loop_depth)
-            if value <= 0:
-                return emit(_Instr("noop", (), right))
-            if value >= 1:
-                return emit(_Instr("noop", (), left))
-            if loop_depth > 0:
-                prob_in_loop[0] = True
-            return emit(_Instr("prob", (value, left, right)))
-        raise TransformError(f"cannot compile {p!r}")
-
-    entry = compile_node(program, None, 0)
-    halt = len(instrs)
-    for instr in instrs:
-        if instr.next is None:
-            instr.next = halt
-        if instr.kind == "test":
-            guard, then, orelse = instr.payload
-            instr.payload = (guard,
-                             halt if then is None else then,
-                             halt if orelse is None else orelse)
-        elif instr.kind in ("nondet", "prob"):
-            instr.payload = tuple(halt if x is None else x
-                                  for x in instr.payload)
-    if entry is None:
-        entry = halt
-    return instrs, entry, halt, prob_in_loop[0]
-
-
 def _source_vars(program: Program) -> list:
     return sorted({t.var if isinstance(t, Assign) else t.name
                    for t in subterms(program) if isinstance(t, (Assign, Var))})
@@ -422,6 +342,20 @@ def _rename(node, slot):
         return Var(f"s{slot}_{node.name}")
     return replace(node, **{name: _rename(value, slot)
                             for name, value in term_fields(node)})
+
+
+def _terminate(slot: int) -> Program:
+    return seq_of([
+        Assign("term", ABin("+", Var("term"), Var(f"w{slot}"))),
+        Assign(f"a{slot}", _num(0)),
+    ])
+
+
+def _goto(slot: int, pc: Optional[int]) -> Program:
+    """The slot's jump to pc; pc None is the halt address."""
+    if pc is None:
+        return _terminate(slot)
+    return Assign(f"pc{slot}", _num(pc))
 
 
 def to_knievel(program: Program, horizon_policy="double") -> Program:
@@ -440,13 +374,86 @@ def to_knievel(program: Program, horizon_policy="double") -> Program:
     Probabilities must be constant, and probabilistic choice inside a loop
     is refused: its frontier could outgrow any fixed slot count.
     """
-    instrs, entry, halt, prob_in_loop = _compile_instructions(program)
-    if prob_in_loop:
+    steps = []  # steps[pc](slot): what slot does at pc, one source step
+    splits = []  # per coin of two live arms: whether it is inside a loop
+
+    def emit(step) -> int:
+        steps.append(step)
+        return len(steps) - 1
+
+    def test(guard, then, orelse):
+        return lambda slot: If(_rename(guard, slot), _goto(slot, then),
+                               _goto(slot, orelse))
+
+    def split(value, left, right):
+        """The step of a coin: the right arm's branch moves into the first
+        free slot, with the weight 1 - value and a copy of the variables."""
+        def step(slot):
+            spawn = _chain([(Cmp("=", Var(f"a{target}"), _num(0)), seq_of(
+                [Assign(f"a{target}", _num(1)),
+                 Assign(f"pc{target}", _num(halt if right is None else right)),
+                 Assign(f"w{target}",
+                        ABin("*", _num(1 - value), Var(f"w{slot}")))]
+                + [Assign(f"s{target}_{v}", Var(f"s{slot}_{v}"))
+                   for v in source_vars]))
+                for target in range(1, width + 1) if target != slot], EMPTY)
+            return seq_of([
+                spawn,
+                Assign(f"w{slot}", ABin("*", _num(value), Var(f"w{slot}"))),
+                _goto(slot, left),
+            ])
+        return step
+
+    def compile_node(p, next_pc, in_loop):
+        """The pc of p's first step, after emitting p's steps with next_pc
+        after them.  Rests, arms and loop bodies are emitted before the
+        step that leads into them."""
+        if isinstance(p, Empty):
+            return next_pc
+        if isinstance(p, Skip):
+            return emit(lambda slot: _goto(slot, next_pc))
+        if isinstance(p, Exit):
+            return emit(_terminate)
+        if isinstance(p, Assign):
+            return emit(lambda slot: seq_of([
+                Assign(f"s{slot}_{p.var}", _rename(p.expr, slot)),
+                _goto(slot, next_pc)]))
+        if isinstance(p, Seq):
+            rest = compile_node(p.rest, next_pc, in_loop)
+            return compile_node(p.first, rest, in_loop)
+        if isinstance(p, If):
+            return emit(test(p.guard, compile_node(p.then, next_pc, in_loop),
+                             compile_node(p.orelse, next_pc, in_loop)))
+        if isinstance(p, While):
+            pc = emit(None)  # the body jumps back here
+            steps[pc] = test(p.guard, compile_node(p.body, pc, True), next_pc)
+            return pc
+        if isinstance(p, NondetChoice):
+            left = compile_node(p.left, next_pc, in_loop)
+            right = compile_node(p.right, next_pc, in_loop)
+            return emit(lambda slot: NondetChoice(_goto(slot, left),
+                                                  _goto(slot, right)))
+        if not isinstance(p, ProbChoice):
+            raise TransformError(f"cannot compile {p!r}")
+        if any(isinstance(t, Var) for t in subterms(p.prob)):
+            raise NonConstantProbability(
+                "probabilistic choice with state-dependent probability")
+        value = eval_aexpr(p.prob, EMPTY_VALUATION)
+        left = compile_node(p.left, next_pc, in_loop)
+        right = compile_node(p.right, next_pc, in_loop)
+        if not 0 < value < 1:  # a forced coin takes its one arm
+            target = right if value <= 0 else left
+            return emit(lambda slot: _goto(slot, target))
+        splits.append(in_loop)
+        return emit(split(value, left, right))
+
+    entry = compile_node(program, None, False)
+    halt = len(steps)  # where a pc is printed as a number
+    if any(splits):
         raise FrontierWidthError(
             "frontier-encoding width exceeded: probabilistic choice inside "
             "a loop can split an unbounded number of branches")
-    splits = sum(1 for i in instrs if i.kind == "prob")
-    width = splits + 1
+    width = len(splits) + 1
     if width > MAX_WIDTH:
         raise FrontierWidthError(
             f"frontier-encoding width exceeded: {width} slots needed, "
@@ -459,70 +466,14 @@ def to_knievel(program: Program, horizon_policy="double") -> Program:
         raise TransformError(f"horizon must be 'double' or an integer, "
                              f"not {horizon_policy!r}") from exc
 
-    def slot_step(slot: int) -> Program:
-        cases = []
-        for pc, instr in enumerate(instrs):
-            cases.append((Cmp("=", Var(f"pc{slot}"), _num(pc)),
-                          translate(slot, pc, instr)))
-        dispatch = _chain(cases, terminate(slot))
-        return If(Cmp("=", Var(f"a{slot}"), _num(1)), dispatch, EMPTY)
-
-    def terminate(slot: int) -> Program:
-        return seq_of([
-            Assign("term", ABin("+", Var("term"), Var(f"w{slot}"))),
-            Assign(f"a{slot}", _num(0)),
-        ])
-
-    def goto(slot, pc) -> Program:
-        if pc == halt:
-            return terminate(slot)
-        return Assign(f"pc{slot}", _num(pc))
-
-    def translate(slot: int, pc: int, instr: _Instr) -> Program:
-        if instr.kind == "noop":
-            return goto(slot, instr.next)
-        if instr.kind == "exit":
-            return terminate(slot)
-        if instr.kind == "assign":
-            var, expr = instr.payload
-            return seq_of([
-                Assign(f"s{slot}_{var}", _rename(expr, slot)),
-                goto(slot, instr.next),
-            ])
-        if instr.kind == "test":
-            guard, then, orelse = instr.payload
-            return If(_rename(guard, slot),
-                      goto(slot, then), goto(slot, orelse))
-        if instr.kind == "nondet":
-            left, right = instr.payload
-            return NondetChoice(goto(slot, left), goto(slot, right))
-        if instr.kind == "prob":
-            value, left, right = instr.payload
-            spawn_cases = []
-            for target in range(1, width + 1):
-                if target == slot:
-                    continue
-                copy = [Assign(f"a{target}", _num(1)),
-                        Assign(f"pc{target}", _num(right)),
-                        Assign(f"w{target}",
-                               ABin("*", _num(1 - value), Var(f"w{slot}")))]
-                copy += [Assign(f"s{target}_{v}", Var(f"s{slot}_{v}"))
-                         for v in source_vars]
-                spawn_cases.append((Cmp("=", Var(f"a{target}"), _num(0)),
-                                    seq_of(copy)))
-            spawn = _chain(spawn_cases, EMPTY)
-            return seq_of([
-                spawn,
-                Assign(f"w{slot}", ABin("*", _num(value), Var(f"w{slot}"))),
-                goto(slot, left),
-            ])
-        raise TransformError(f"unknown instruction {instr.kind}")
-
     alive_sum = Var("a1")
     for slot in range(2, width + 1):
         alive_sum = ABin("+", Var(f"a{slot}"), alive_sum)
 
-    round_body = [slot_step(slot) for slot in range(1, width + 1)]
+    round_body = [If(Cmp("=", Var(f"a{slot}"), _num(1)), _chain(
+        [(Cmp("=", Var(f"pc{slot}"), _num(pc)), step(slot))
+         for pc, step in enumerate(steps)], _terminate(slot)), EMPTY)
+        for slot in range(1, width + 1)]
     round_body += [
         Assign("cer", ABin("+", Var("cer"),
                            ABin("-", _num(1), Var("term")))),
@@ -538,7 +489,7 @@ def to_knievel(program: Program, horizon_policy="double") -> Program:
     inits = [
         Assign("a1", _num(1)),
         Assign("w1", _num(1)),
-        Assign("pc1", _num(entry)),
+        Assign("pc1", _num(halt if entry is None else entry)),
         Assign("bnd", _num(initial_bound)),
         Assign("chl", _num(1)),
     ]

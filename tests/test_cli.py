@@ -629,6 +629,8 @@ def test_well_formed_graph_file_still_checks(tmp_path, capsys):
                  "initial node 5 is missing", id="missing-initial"),
     pytest.param([1], "list indices must be integers or slices, not str",
                  id="file-not-object"),
+    pytest.param(lambda g: g.update(comment="made by hand"),
+                 "unknown field 'comment'", id="unknown-field"),
 ])
 def test_malformed_graph_file_exits_2(tmp_path, capsys, edit, message):
     graph = json.loads(json.dumps(ONE_ASSIGNMENT))
@@ -766,6 +768,25 @@ ONE_ASSIGNMENT_RANK = {"x := 1 | ": "1", "bot | x=1": "0"}
                  "certificate is not a JSON object", id="rule-entry-list"),
     pytest.param("check-rule", {"g": ONE_ASSIGNMENT_RANK, "k": []},
                  "certificate 'k' is not a JSON object", id="rule-k-list"),
+    pytest.param("check-rsm", {"epsilon": "1", "h": ONE_ASSIGNMENT_H,
+                               "bound": "1"},
+                 "certificate has unknown field 'bound'",
+                 id="rsm-unknown-field"),
+    pytest.param("check-rule", {"g": ONE_ASSIGNMENT_RANK, "k": {},
+                                "h": ONE_ASSIGNMENT_H},
+                 "certificate has unknown field 'h'", id="rule-unknown-field"),
+    pytest.param("check-rule",
+                 {"g": ONE_ASSIGNMENT_RANK,
+                  "k": {"x := 1 | ": {"epsilon": "1", "h": ONE_ASSIGNMENT_H,
+                                      "g": ONE_ASSIGNMENT_RANK}}},
+                 "certificate has unknown field 'g'",
+                 id="rule-entry-unknown-field"),
+    pytest.param("check-rsm", {"epsilon": "1_0", "h": ONE_ASSIGNMENT_H},
+                 "certificate has a bad epsilon '1_0'",
+                 id="epsilon-digit-separator"),
+    pytest.param("check-rsm", {"epsilon": "1",
+                               "h": {**ONE_ASSIGNMENT_H, "x := 1 | ": " 1 "}},
+                 "certificate has a bad value ' 1 '", id="value-padded"),
 ])
 def test_malformed_certificate_file_exits_2(tmp_path, capsys, command, cert,
                                             message):
@@ -777,6 +798,55 @@ def test_malformed_certificate_file_exits_2(tmp_path, capsys, command, cert,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+ONE_ASSIGNMENT_TEXT = json.dumps(ONE_ASSIGNMENT)
+
+
+@pytest.mark.parametrize("command, which, text, key", [
+    pytest.param("check-rsm", "graph", ONE_ASSIGNMENT_TEXT.replace(
+        '"initial": 0', '"initial": 0, "initial": 1'), "initial",
+                 id="graph-field"),
+    pytest.param("check-rsm", "graph", ONE_ASSIGNMENT_TEXT.replace(
+        '"kind": "terminal"', '"kind": "terminal", "kind": "terminal"'),
+                 "kind", id="graph-node-field"),
+    pytest.param("check-rsm", "cert",
+                 '{"epsilon": "1", "epsilon": "1/2", "h": {}}', "epsilon",
+                 id="rsm-field"),
+    pytest.param("check-rsm", "cert",
+                 '{"epsilon": "1", "h": {"x := 1 | ": "1", '
+                 '"bot | x=1": "0", "x := 1 | ": "0"}}', "x := 1 | ",
+                 id="rsm-h-entry"),
+    pytest.param("check-rule", "cert",
+                 '{"g": {"x := 1 | ": "1", "bot | x=1": "0"}, "k": '
+                 '{"x := 1 | ": {"epsilon": "1", "h": {}, "h": {}}}}', "h",
+                 id="rule-k-entry"),
+])
+def test_duplicated_json_key_exits_2(tmp_path, capsys, command, which, text,
+                                     key):
+    paths = {"graph": tmp_path / "graph.json", "cert": tmp_path / "cert.json"}
+    paths["graph"].write_text(ONE_ASSIGNMENT_TEXT)
+    paths["cert"].write_text(json.dumps({"epsilon": "1",
+                                         "h": ONE_ASSIGNMENT_H}))
+    paths[which].write_text(text)
+    assert main([command, str(paths["graph"]), str(paths["cert"])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {paths[which]}: invalid JSON: "
+                            f"duplicate key {key!r}\n")
+
+
+def test_tree_spec_with_duplicated_key_exits_2(tmp_path, capsys):
+    text = '{"rule": "full", "rule": "all-zeros"}'
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert main(["emit", "reduction", "--tree", str(path)]) == 2
+    assert main(["emit", "reduction", "--tree", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: invalid JSON: duplicate key 'rule'\n"
+        f"error: bad tree spec {text!r}: duplicate key 'rule'\n")
 
 
 # ---------------------------------------------------------------------------

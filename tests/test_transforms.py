@@ -1,4 +1,5 @@
 import hashlib
+import json
 import pathlib
 import random
 from fractions import Fraction
@@ -51,9 +52,11 @@ def test_tree_spec_validation():
 
 def test_tree_spec_json():
     spec = explicit_tree([(), (0,), (1,), (0, 2)])
-    assert TreeSpec.from_json(spec.to_json()) == spec
+    assert TreeSpec.from_json(
+        json.loads('{"explicit": [[], [0], [0, 2], [1]]}')) == spec
     rule = rule_tree("bounded-depth(2)")
-    assert TreeSpec.from_json(rule.to_json()) == rule
+    assert TreeSpec.from_json(
+        json.loads('{"rule": "bounded-depth(2)"}')) == rule
 
 
 def test_sequence_encoding_injective():
