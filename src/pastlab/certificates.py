@@ -55,15 +55,21 @@ class RsmCert:
 
     @staticmethod
     def from_json(data: dict, graph: StateGraph,
-                  index: Optional[dict] = None) -> "RsmCert":
-        """`index` is the graph's key index, when the caller already has it."""
+                  index: Optional[dict] = None,
+                  values: Optional[dict] = None) -> "RsmCert":
+        """`index` is the graph's key index, when the caller already has it.
+        `values` maps each value text this file has given so far to its
+        Fraction, so that each distinct text is read once per file."""
         _fields(data, ("epsilon", "h"))
         if index is None:
             index = graph.key_index()
-        h = _by_node(data, "h", index, lambda v: _read(_rational, v, "value"))
+        if values is None:
+            values = {}
+        h = _by_node(data, "h", index,
+                     lambda v: _rational_once(v, "value", values))
         if "epsilon" not in data:
             raise CertificateError("certificate has no epsilon")
-        return RsmCert(h, _read(_rational, data["epsilon"], "epsilon"))
+        return RsmCert(h, _rational_once(data["epsilon"], "epsilon", values))
 
 
 @dataclass(frozen=True)
@@ -83,11 +89,11 @@ class RuleCert:
     @staticmethod
     def from_json(data: dict, graph: StateGraph) -> "RuleCert":
         _fields(data, ("g", "k"))
-        index = graph.key_index()
+        index, values = graph.key_index(), {}
         g = _by_node(data, "g", index,
                      lambda v: _read(parse_ordinal, v, "rank"))
         k = _by_node(data, "k", index,
-                     lambda v: RsmCert.from_json(v, graph, index))
+                     lambda v: RsmCert.from_json(v, graph, index, values))
         return RuleCert(g, k)
 
 
@@ -117,10 +123,22 @@ def _by_node(data: dict, name: str, index: dict, read) -> dict:
 
 def _rational(text: str) -> Fraction:
     """read_rational(text), refusing the digit separators and surrounding
-    whitespace that Fraction accepts and pastlab never prints."""
+    whitespace that Fraction accepts and pastlab never prints.  A
+    certificate load calls it once per distinct value text, through
+    _rational_once."""
     if "_" in text or text != text.strip():
         raise ValueError(f"not a plain rational: {text!r}")
     return read_rational(text)
+
+
+def _rational_once(value, what: str, values: dict) -> Fraction:
+    """_read(_rational, value, what), looked up in `values` (text ->
+    Fraction) when an earlier entry gave the same text.  Only accepted texts
+    enter `values`, so every refusal is made as if it were the first."""
+    if isinstance(value, str) and value in values:
+        return values[value]
+    values[value] = result = _read(_rational, value, what)
+    return result
 
 
 def _read(parse, value, what: str):

@@ -9,6 +9,7 @@ approximate column.  Runs with a fixed --seed are byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -437,7 +438,11 @@ def command(parent, name, fn, *options, summary):
     return p
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: parsing leaves no state in it, since each parse returns a
+    fresh namespace and the commands read PASTLAB_NODE_CAP when they run."""
     parser = argparse.ArgumentParser(
         prog="pastlab",
         description="probabilistic-termination analysis workbench")
@@ -515,8 +520,7 @@ def _validate(args):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args, unknown = parser.parse_known_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
     if unknown:  # reported with the usage of the command that refused them
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:

@@ -18,7 +18,7 @@ from pastlab.ordinal import OMEGA, ZERO as ORD_ZERO, from_natural
 from pastlab.scheduling import constant, Ln, iter_partial_schedules, \
     standard_extension
 from pastlab.semantics import ProgramState, Valuation, is_terminal
-from pastlab.syntax import parse
+from pastlab.syntax import parse, read_rational
 from certhelpers import (build_inc_graph, build_inc_rank2,
                          dense_worst_case_exit_times)
 
@@ -269,6 +269,27 @@ def test_certificate_json_prints_each_state_key_once(monkeypatch):
     back = RuleCert.from_json(data, fresh)
     assert back.to_json(fresh) == data
     assert len(printed) == len(fresh)
+
+
+def test_rank_certificate_reads_each_value_text_once(monkeypatch):
+    graph, selection, countdown = build_inc_graph(2)
+    data = build_inc_rank2(graph, selection, countdown).to_json(graph)
+    texts = [text for entry in data["k"].values()
+             for text in [entry["epsilon"], *entry["h"].values()]]
+    assert len(set(texts)) < len(texts)
+    read = []
+    monkeypatch.setattr(certificates, "read_rational",
+                        lambda text: read.append(text) or read_rational(text))
+    back = RuleCert.from_json(data, graph)
+    assert sorted(read) == sorted(set(texts))
+    index, values = graph.key_index(), {}
+    for key, entry in data["k"].items():
+        rsm = back.k[index[key]]
+        pairs = [(entry["epsilon"], rsm.epsilon)] + [
+            (text, rsm.h[index[node]]) for node, text in entry["h"].items()]
+        for text, value in pairs:
+            assert type(value) is Fraction and value == read_rational(text)
+            assert values.setdefault(text, value) is value
 
 
 # ---------------------------------------------------------------------------

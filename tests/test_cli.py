@@ -800,6 +800,47 @@ def test_malformed_certificate_file_exits_2(tmp_path, capsys, command, cert,
     assert captured.err == f"error: {message}\n"
 
 
+# A text refused in the last k entry, after the same number written plainly
+# in the earlier ones, is refused as if it were the first: a load reads each
+# accepted value text once.
+TOO_LONG_ONE = "1" + "0" * 4300 + "/1" + "0" * 4300
+
+
+@pytest.mark.parametrize("plain, target, bad, message", [
+    pytest.param("1", 2, " 1", "certificate has a bad value ' 1'",
+                 id="padded"),
+    pytest.param("10", 2, "1_0", "certificate has a bad value '1_0'",
+                 id="digit-separator"),
+    pytest.param("1", 0, 0, "certificate has a bad value 0: not a JSON string",
+                 id="json-number"),
+    pytest.param("1", 2, TOO_LONG_ONE,
+                 "certificate has a bad value '100000000000...0000000000000'",
+                 id="digits"),
+])
+def test_value_refused_after_its_plain_form_exits_2(tmp_path, capsys, plain,
+                                                    target, bad, message):
+    program_path = tmp_path / "three.pgcl"
+    program_path.write_text("x := 1; x := 2\n")
+    graph_path = tmp_path / "graph.json"
+    assert main(["graph", str(program_path), "-o", str(graph_path)]) == 0
+    keys = [node["key"] for node in json.loads(graph_path.read_text())["nodes"]]
+    # Node i is 3 - i steps from the end, so it ranks 3 - i and its
+    # certificate is `plain` on itself and 0 everywhere else.
+    cert = {"g": {key: str(3 - i) for i, key in enumerate(keys)},
+            "k": {keys[i]: {"epsilon": plain,
+                            "h": {key: plain if j == i else "0"
+                                  for j, key in enumerate(keys)}}
+                  for i in range(3)}}
+    cert_path = tmp_path / "rule.json"
+    cert_path.write_text(json.dumps(cert))
+    assert main(["check-rule", str(graph_path), str(cert_path)]) == 0
+    assert capsys.readouterr().out == "OK\n"
+    cert["k"][keys[2]]["h"][keys[target]] = bad
+    cert_path.write_text(json.dumps(cert))
+    assert main(["check-rule", str(graph_path), str(cert_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 ONE_ASSIGNMENT_TEXT = json.dumps(ONE_ASSIGNMENT)
 
 
@@ -1132,6 +1173,56 @@ def test_unread_option_names_the_command_and_the_arguments(capsys):
     assert captured.err.startswith("usage: pastlab runtime [-h] ")
     assert captured.err.endswith("\npastlab runtime: error: unrecognized "
                                  "arguments: --format json\n")
+
+
+# ---------------------------------------------------------------------------
+# One parser serves every call in a process
+# ---------------------------------------------------------------------------
+
+def test_second_call_builds_no_parser(geometric_file, monkeypatch, capsys):
+    assert _build_parser() is _build_parser()
+    assert main(["parse", geometric_file]) == 0
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(self)
+                        or real_init(self, *args, **kwargs))
+    assert main(["run", geometric_file, "--depth", "3"]) == 0
+    assert built == []
+
+
+def test_options_of_one_call_do_not_reach_the_next(geometric_file, capsys):
+    assert main(["run", geometric_file, "--depth", "3", "--decimal",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["depth"] == 3
+    assert main(["run", geometric_file]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("depth: 64\nterminal mass: ")
+    assert "(~" not in out
+
+
+def test_unknown_option_after_successful_calls_is_a_usage_error(
+        geometric_file, capsys):
+    assert main(["run", geometric_file, "--depth", "3"]) == 0
+    assert main(["parse", geometric_file]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", geometric_file, "--bogus"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: pastlab run [-h] ")
+    assert captured.err.endswith("\npastlab run: error: unrecognized "
+                                 "arguments: --bogus\n")
+
+
+def test_node_cap_env_is_read_on_every_call(geometric_file, monkeypatch,
+                                            capsys):
+    monkeypatch.delenv("PASTLAB_NODE_CAP", raising=False)
+    assert main(["run", geometric_file, "--depth", "30"]) == 0
+    monkeypatch.setenv("PASTLAB_NODE_CAP", "3")
+    assert main(["run", geometric_file, "--depth", "30"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_hydra_compile_refuses_interactive(capsys):
