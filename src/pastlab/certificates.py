@@ -25,10 +25,8 @@ from typing import Dict, Iterable, List, Optional
 from .exploration import StateGraph
 from .ordinal import parse_ordinal, print_ordinal
 from .ordinal import ZERO as ORD_ZERO
+from .semantics import ONE, ZERO
 from .syntax import print_rational, read_rational
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class CertificateError(ValueError):

@@ -276,8 +276,13 @@ def cmd_knievel(args) -> int:
 
 
 def _tree_spec(text: str) -> transforms.TreeSpec:
+    """A rule name first, then inline JSON, then a path such as ./full."""
+    name = text.strip()
     try:
-        if text.strip().startswith("{"):
+        if name in transforms.RULES or (name.startswith("bounded-depth(")
+                                        and name.endswith(")")):
+            return transforms.rule_tree(name)
+        if name.startswith("{"):
             return transforms.TreeSpec.from_json(
                 json.loads(text, object_pairs_hook=_unique_keys))
         if os.path.exists(text):
@@ -365,9 +370,8 @@ def cmd_hydra_play(args) -> int:
                             f"(e.g. 0 or 0.1)? ").strip()
                 leaf = tuple(int(p) for p in raw.split(".") if p != "")
                 evolutions = int(input("evolutions? ").strip() or "0")
-            except EOFError:
-                print("\naborted")
-                return 2
+            except EOFError as exc:
+                raise CliError("end of input") from exc
             except ValueError:
                 print("bad input, try again")
                 round_no -= 1
@@ -510,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args):
-    for name in ("depth", "n"):
+    for name in ("depth", "n", "evolutions"):
         if getattr(args, name, 0) < 0:
             raise CliError(f"{name} must be non-negative")
     for name in ("node_cap", "bound"):

@@ -29,13 +29,12 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, List, Optional
 
-from .semantics import (ONE, Direction, ExecState, Exit, ProgramState,
+from .semantics import (ONE, ZERO, Direction, ExecState, Exit, ProgramState,
                         head_redex, initial_state, is_terminal,
-                        step, step_all, Kind)  # the tracer patches both steps
+                        step, step_all)  # the tracer patches both steps
 from .syntax import Empty, NondetChoice, Program, print_rational, subterms
-from .scheduling import Scheduler, iter_partial_schedules  # tracer patches it
-
-ZERO = Fraction(0)
+from .scheduling import (Ln, Rn, Scheduler,
+                         iter_partial_schedules)  # the tracer patches it
 
 DEFAULT_NODE_CAP = 500_000
 
@@ -156,7 +155,12 @@ def _asks(program: Program) -> bool:
 class TreeNode:
     state: ExecState
     depth: int
-    children: list = field(default_factory=list)  # (Kind, TreeNode)
+    children: list = field(default_factory=list)  # (direction, TreeNode)
+
+
+# The "kind" a tree edge prints for the direction its step took.
+_TREE_KIND = {None: "deterministic", Ln: "nondet", Rn: "nondet",
+              Direction.Lp: "prob-left", Direction.Rp: "prob-right"}
 
 
 @dataclass
@@ -191,7 +195,7 @@ class ExecTree:
                 got = [value.pop(id(child)) for _, child in node.children]
                 if is_terminal(node.state):
                     got = [node.state.prob]
-                elif got and node.children[0][0] is Kind.NONDET:
+                elif got and node.children[0][0] in (Ln, Rn):
                     got = [min(got)]
                 value[id(node)] = sum(got, ZERO)
         return value[id(self.root)]
@@ -211,10 +215,10 @@ class ExecTree:
                 })
         for level in self.levels:
             for node in level:
-                for kind, child in node.children:
+                for direction, child in node.children:
                     edges.append({"from": ids[id(node)],
                                   "to": ids[id(child)],
-                                  "kind": kind.value})
+                                  "kind": _TREE_KIND[direction]})
         return {"depth_cap": self.depth_cap, "nodes": nodes, "edges": edges}
 
 
@@ -235,7 +239,7 @@ def build_tree(program: Program, scheduler: Scheduler, depth: int,
         layer = []
         for node, memory in frontier:
             stepped = _scheduled(scheduler, step(node.state), memory)
-            node.children = [(succ.kind, TreeNode(succ.state, d + 1))
+            node.children = [(succ.direction, TreeNode(succ.state, d + 1))
                              for succ, _ in stepped]
             layer += [(child, after) for (_, child), (_, after)
                       in zip(node.children, stepped)]
@@ -312,13 +316,6 @@ def run_masses(program: Program, scheduler: Scheduler, depth: int,
                        [entry[2] for entry in frontier])
 
 
-def termination_prob_upto(program: Program, scheduler: Scheduler, k: int,
-                          node_cap: int = DEFAULT_NODE_CAP) -> Fraction:
-    """Exact probability of reaching a terminal state within k steps."""
-    profile = run_masses(program, scheduler, k, node_cap=node_cap)
-    return profile.cumulative_hit(k)
-
-
 @dataclass
 class RuntimeBounds:
     lower: Fraction
@@ -341,21 +338,14 @@ def _series_bounds(profile: MassProfile, k: int) -> RuntimeBounds:
 
 
 def exp_runtime_bounds(program: Program, scheduler: Scheduler, k: int,
+                       target: Optional[Callable[[ProgramState], bool]] = None,
                        node_cap: int = DEFAULT_NODE_CAP) -> RuntimeBounds:
-    """Lower bound (exact when closed) for the expected-runtime series."""
-    profile = run_masses(program, scheduler, k, node_cap=node_cap)
-    return _series_bounds(profile, k)
-
-
-def exp_reach_runtime_bounds(program: Program, scheduler: Scheduler,
-                             target: Callable[[ProgramState], bool], k: int,
-                             node_cap: int = DEFAULT_NODE_CAP) -> RuntimeBounds:
-    """Expected time until a path first enters the target set.
-
-    Paths are truncated at their first target hit.  A path that terminates
-    without hitting the target never will, so such mass keeps every later
-    series term positive and the bounds can only close when all mass hits.
-    """
+    """Lower bound (exact when closed) for the expected-runtime series, or
+    with a target for the expected time until a path first enters the
+    target set.  Paths are truncated at their first target hit.  A path that
+    terminates without hitting the target never will, so such mass keeps
+    every later series term positive and the bounds can only close when all
+    mass hits."""
     profile = run_masses(program, scheduler, k, target=target,
                          node_cap=node_cap)
     return _series_bounds(profile, k)
@@ -431,6 +421,11 @@ class Edge:
 
 
 KINDS = ("terminal", "deterministic", "nondet", "prob")
+
+# The label a graph edge prints for its direction; every edge of a
+# deterministic node is "det", a forced coin's included.
+_GRAPH_LABEL = {Ln: "nondet-left", Rn: "nondet-right",
+                Direction.Lp: "prob-left", Direction.Rp: "prob-right"}
 
 
 @dataclass
@@ -560,13 +555,8 @@ def collapse_to_state_graph(program: Program, bound: int) -> StateGraph:
                 states.append(child)
                 kinds.append(None)
                 todo.append(index[child])
-            if kind == "nondet":
-                label = "nondet-left" if succ.direction is Direction.Ln \
-                    else "nondet-right"
-            elif kind == "prob":
-                label = succ.kind.value
-            else:
-                label = "det"
+            label = "det" if kind == "deterministic" \
+                else _GRAPH_LABEL[succ.direction]
             out.append(Edge(node, label, index[child],
                             succ.state.prob if kind == "prob" else None))
         edges[node] = out

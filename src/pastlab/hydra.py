@@ -129,10 +129,6 @@ def canonical_shape(tree: Tree) -> str:
                  "(" + "".join(sorted(below, reverse=True)) + ")")
 
 
-def isomorphic(a: Tree, b: Tree) -> bool:
-    return canonical_shape(a) == canonical_shape(b)
-
-
 def parse_hydra(text: str, n: int = 4) -> HydraState:
     """Nested-parentheses form: "(()())" is a root with two leaf children."""
     text = text.strip()

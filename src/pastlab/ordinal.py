@@ -81,13 +81,6 @@ def from_natural(n: int) -> Ordinal:
     return ZERO if n == 0 else Ordinal(((ZERO, n),))
 
 
-def compare(a: Ordinal, b: Ordinal) -> int:
-    """-1, 0, or 1 as a is below, equal to, or above b."""
-    if a < b:
-        return -1
-    return 0 if a == b else 1
-
-
 def natural_sum(a: Ordinal, b: Ordinal) -> Ordinal:
     """Hessenberg sum: merge the term lists, adding equal-exponent
     coefficients.  Commutative, associative, strictly monotone both ways."""
@@ -96,19 +89,6 @@ def natural_sum(a: Ordinal, b: Ordinal) -> Ordinal:
         merged[exponent] = merged.get(exponent, 0) + coeff
     ordered = sorted(merged.items(), key=lambda t: t[0], reverse=True)
     return Ordinal(tuple(ordered))
-
-
-def omega_pow(exponent: Ordinal) -> Ordinal:
-    """w raised to the given ordinal, as a single CNF term."""
-    return Ordinal(((exponent, 1),))
-
-
-def successor(a: Ordinal) -> Ordinal:
-    return natural_sum(a, ONE)
-
-
-def is_finite(a: Ordinal) -> bool:
-    return a.is_finite()
 
 
 # ---------------------------------------------------------------------------

@@ -139,14 +139,6 @@ class InteractiveScheduler(Scheduler):
         return direction
 
 
-def constant(direction: Direction) -> Scheduler:
-    return ConstantScheduler(direction)
-
-
-def interactive(input_fn=input, output_fn=print) -> Scheduler:
-    return InteractiveScheduler(input_fn, output_fn)
-
-
 # ---------------------------------------------------------------------------
 # Partial schedules
 # ---------------------------------------------------------------------------
@@ -189,10 +181,6 @@ class TableScheduler(Scheduler):
         table = {"".join(d.value for d in history): answer.value
                  for history, answer in self.partial.table}
         return f"extension({table})"
-
-
-def standard_extension(partial: PartialSchedule) -> Scheduler:
-    return TableScheduler(partial)
 
 
 def iter_partial_schedules(size: int, histories: Iterable[tuple],
@@ -261,10 +249,6 @@ class BoundedScheduler(Scheduler):
         return runs, self.inner.advance(inner, direction, site)
 
 
-def bound(inner: Scheduler, k: int) -> BoundedScheduler:
-    return BoundedScheduler(inner, k)
-
-
 SCHEDULER_SPEC = re.compile(r"(bounded:-?[0-9]+:)*"
                             r"(const:Ln|const:Rn|alt|random(:-?[0-9]+)?"
                             r"|interactive)")
@@ -279,12 +263,12 @@ def parse_scheduler_spec(spec: str, seed: int = 0) -> Scheduler:
                          f"bounded:K:SPEC | interactive)")
     if spec.startswith("bounded:"):
         _, k, rest = spec.split(":", 2)
-        return bound(parse_scheduler_spec(rest, seed), int(k))
+        return BoundedScheduler(parse_scheduler_spec(rest, seed), int(k))
     if spec.startswith("const:"):
-        return constant(Direction(spec[len("const:"):]))
+        return ConstantScheduler(Direction(spec[len("const:"):]))
     if spec.startswith("random"):
         _, _, given = spec.partition(":")
         return RandomScheduler(int(given) if given else seed)
     if spec == "alt":
         return AlternatingScheduler()
-    return interactive()
+    return InteractiveScheduler()

@@ -49,9 +49,6 @@ class Direction(enum.Enum):
         return self.value
 
 
-History = tuple  # tuple of Direction
-
-
 class Valuation:
     """Immutable map from variable names to exact rationals; missing reads 0.
 
@@ -117,7 +114,7 @@ class ExecState:
     program: Program
     valuation: Valuation
     prob: Fraction
-    history: History
+    history: tuple  # of Direction
 
     def program_state(self) -> ProgramState:
         return ProgramState(self.program, self.valuation)
@@ -188,22 +185,11 @@ def eval_bexpr(b: BExpr, valuation: Valuation) -> bool:
 # The transition relation
 # ---------------------------------------------------------------------------
 
-class Kind(enum.Enum):
-    DETERMINISTIC = "deterministic"
-    PROB_LEFT = "prob-left"
-    PROB_RIGHT = "prob-right"
-    NONDET = "nondet"
-
-
 @dataclass(frozen=True)
 class Successor:
     state: ExecState
-    kind: Kind
-    direction: Optional[Direction]  # None for a step that records none
-    site: Optional[NondetChoice]    # the nondet choice it resolved, if any
-
-
-StepOutcome = list  # list of Successor
+    direction: Optional[Direction] = None  # None for a step recording none
+    site: Optional[NondetChoice] = None    # the nondet choice it resolved
 
 
 class TerminalStepError(Exception):
@@ -253,7 +239,7 @@ def _plan(program):
     return plan
 
 
-def step(state: ExecState) -> StepOutcome:
+def step(state: ExecState) -> list:
     """Apply one inference rule to a non-terminal state.
 
     Returns one successor, or two: for a genuine probabilistic split, whose
@@ -271,11 +257,11 @@ def step(state: ExecState) -> StepOutcome:
     valuation, prob, history = state.valuation, state.prob, state.history
     if isinstance(redex, ProbChoice):
         p = min(max(eval_aexpr(redex.prob, valuation), ZERO), ONE)
-        arms = ((plan[1], p, Kind.PROB_LEFT, Direction.Lp, None),
-                (plan[2], 1 - p, Kind.PROB_RIGHT, Direction.Rp, None))
+        arms = ((plan[1], p, Direction.Lp, None),
+                (plan[2], 1 - p, Direction.Rp, None))
     elif isinstance(redex, NondetChoice):
-        arms = ((plan[1], ONE, Kind.NONDET, Direction.Ln, redex),
-                (plan[2], ONE, Kind.NONDET, Direction.Rn, redex))
+        arms = ((plan[1], ONE, Direction.Ln, redex),
+                (plan[2], ONE, Direction.Rn, redex))
     else:
         after = plan[1]
         if isinstance(redex, Assign):
@@ -284,13 +270,12 @@ def step(state: ExecState) -> StepOutcome:
         elif isinstance(redex, (If, While)) \
                 and not eval_bexpr(redex.guard, valuation):
             after = plan[2]
-        return [Successor(ExecState(after, valuation, prob, history),
-                          Kind.DETERMINISTIC, None, None)]
+        return [Successor(ExecState(after, valuation, prob, history))]
     return [Successor(ExecState(program, valuation,
                                 prob if factor == 1 else prob * factor,
                                 history + (direction,)),
-                      kind, direction, site)
-            for program, factor, kind, direction, site in arms if factor]
+                      direction, site)
+            for program, factor, direction, site in arms if factor]
 
 
 # No code calls step_all: perfbench/tracing.py reads semantics.step_all and

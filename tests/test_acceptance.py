@@ -14,14 +14,13 @@ from pastlab.exploration import (ResourceCapExceeded, artery_widths,
                                  ast_semicheck, build_tree,
                                  collapse_to_state_graph,
                                  collect_nondet_queries,
-                                 exp_reach_runtime_bounds, exp_runtime_bounds,
-                                 run_masses, termination_prob_upto)
+                                 exp_runtime_bounds, run_masses)
 from pastlab.hydra import (HydraState, Tree, head_count, leaves,
                            parse_hydra, play_round, surviving, T)
-from pastlab.ordinal import compare, natural_sum, parse_ordinal, print_ordinal
+from pastlab.ordinal import natural_sum, parse_ordinal, print_ordinal
 from pastlab.ordinal import ONE as ORD_ONE
-from pastlab.scheduling import (RandomScheduler, constant, Ln, Rn,
-                                iter_partial_schedules, standard_extension)
+from pastlab.scheduling import (ConstantScheduler, RandomScheduler, Ln, Rn,
+                                TableScheduler, iter_partial_schedules)
 from pastlab.semantics import is_terminal
 from pastlab.syntax import parse
 from pastlab.transforms import (emit_ordinal_program,
@@ -88,9 +87,10 @@ def test_criterion_02_random_walk_oracle():
     oracle = ballot_walk_oracle(5)
     expected = [oracle[0], oracle[2], oracle[4]]
     assert expected == [Fraction(1, 2), Fraction(5, 8), Fraction(11, 16)]
-    profile = run_masses(RANDOM_WALK, constant(Ln), 30)
+    profile = run_masses(RANDOM_WALK, ConstantScheduler(Ln), 30)
     horizons = [d for d, mass in enumerate(profile.hit_mass) if mass > 0][:3]
-    got = [termination_prob_upto(RANDOM_WALK, constant(Ln), horizon)
+    got = [run_masses(RANDOM_WALK, ConstantScheduler(Ln),
+                      horizon).cumulative_hit(horizon)
            for horizon in horizons]
     assert got == expected
     elapsed = time.time() - started
@@ -101,13 +101,13 @@ def test_criterion_02_random_walk_oracle():
 
 
 def test_criterion_03_geometric_runtime_envelope():
-    profile = run_masses(GEOMETRIC, constant(Ln), 60)
+    profile = run_masses(GEOMETRIC, ConstantScheduler(Ln), 60)
     depths = [d for d, mass in enumerate(profile.hit_mass) if mass > 0]
     stride = depths[1] - depths[0]
     offset = depths[0] - stride
     limit = geometric_series_limit(offset, stride)
     previous = Fraction(-1)
-    full = run_masses(GEOMETRIC, constant(Ln), 200)
+    full = run_masses(GEOMETRIC, ConstantScheduler(Ln), 200)
     for k in range(1, 201):
         lower = Fraction(0)
         cumulative = Fraction(0)
@@ -177,9 +177,9 @@ def test_criterion_06_rsm_soundness_bound():
         schedules = 0
         for partial in iter_partial_schedules(20, queries, cap=10):
             schedules += 1
-            bounds = exp_reach_runtime_bounds(
-                program, standard_extension(partial),
-                lambda ps: is_terminal(ps), 20)
+            bounds = exp_runtime_bounds(
+                program, TableScheduler(partial), 20,
+                target=lambda ps: is_terminal(ps))
             assert bounds.lower <= ceiling
         assert schedules >= 1
     report(6, "measured reach-time lower bounds stayed under h/epsilon on "
@@ -213,7 +213,7 @@ def test_criterion_07_proof_rule_regressions():
     source = pathlib.Path(__file__).resolve().parent.parent \
         / "programs" / "unsound_rank.pgcl"
     diverging = parse(source.read_text())
-    bounds = exp_runtime_bounds(diverging, constant(Ln), 800)
+    bounds = exp_runtime_bounds(diverging, ConstantScheduler(Ln), 800)
     assert bounds.lower > 100
     report(7, f"chain cert accepted, bad terminal rank rejected, "
               f"unsound-shape cert accepted while the program's lower "
@@ -230,19 +230,19 @@ def test_criterion_08_reduction_case_analysis():
     schedules = 0
     for partial in iter_partial_schedules(enumeration_depth, queries, cap=8):
         schedules += 1
-        profile = run_masses(program, standard_extension(partial), 220)
+        profile = run_masses(program, TableScheduler(partial), 220)
         assert not profile.frontier \
             or profile.frontier_mass() < Fraction(1, 64)
     # All-zeros tree: the branch follower keeps collecting whole units.
     zeros = emit_tree_reduction(rule_tree("all-zeros"))
-    follower = exp_runtime_bounds(zeros, constant(Rn), 300)
+    follower = exp_runtime_bounds(zeros, ConstantScheduler(Rn), 300)
     assert follower.lower > 5 and not follower.closed
     # Bounded-depth tree under a badly-behaved scheduler: converging.
     bounded = emit_tree_reduction(rule_tree("bounded-depth(2)"))
-    near = exp_runtime_bounds(bounded, constant(Ln), 200)
-    far = exp_runtime_bounds(bounded, constant(Ln), 400)
+    near = exp_runtime_bounds(bounded, ConstantScheduler(Ln), 200)
+    far = exp_runtime_bounds(bounded, ConstantScheduler(Ln), 400)
     assert far.lower - near.lower < Fraction(1, 100)
-    assert run_masses(bounded, constant(Ln), 400).frontier_mass() \
+    assert run_masses(bounded, ConstantScheduler(Ln), 400).frontier_mass() \
         < Fraction(1, 2 ** 20)
     report(8, f"root-only tree residue < 2^-6 across {schedules} schedules; "
               f"zero-branch follower passed 5; badly-behaved bounds "
@@ -293,8 +293,8 @@ def test_criterion_11_ordinal_laws():
         assert natural_sum(natural_sum(a, b), c) == \
             natural_sum(a, natural_sum(b, c))
         assert natural_sum(a, c) < natural_sum(natural_sum(a, ORD_ONE), c)
-        assert compare(a, b) == -compare(b, a)
-        assert (compare(a, b) == 0) == (a == b)
+        assert (a < b) == (b > a)
+        assert (not a < b and not b < a) == (a == b)
         assert parse_ordinal(print_ordinal(a)) == a
     report(11, "1000 random triples satisfied the sum laws, order totality, "
                "and text round-trips")

@@ -13,10 +13,10 @@ from pastlab.certificates import (CertificateError, FixpointDiverges,
 from pastlab.exploration import (KINDS, Edge, StateGraph,
                                  collapse_to_state_graph,
                                  collect_nondet_queries,
-                                 exp_reach_runtime_bounds, exp_runtime_bounds)
+                                 exp_runtime_bounds)
 from pastlab.ordinal import OMEGA, ZERO as ORD_ZERO, from_natural
-from pastlab.scheduling import constant, Ln, iter_partial_schedules, \
-    standard_extension
+from pastlab.scheduling import (ConstantScheduler, Ln, TableScheduler,
+                                iter_partial_schedules)
 from pastlab.semantics import ProgramState, Valuation, is_terminal
 from pastlab.syntax import parse, read_rational
 from certhelpers import (build_inc_graph, build_inc_rank2,
@@ -106,9 +106,9 @@ def test_rsm_bound_dominates_measured_runtime():
     ceiling = rsm_bound(cert, graph.initial)
     queries = collect_nondet_queries(program, 20)
     for partial in iter_partial_schedules(20, queries):
-        bounds = exp_reach_runtime_bounds(
-            program, standard_extension(partial),
-            lambda ps: is_terminal(ps), 20)
+        bounds = exp_runtime_bounds(
+            program, TableScheduler(partial), 20,
+            target=lambda ps: is_terminal(ps))
         assert bounds.lower <= ceiling
 
 
@@ -199,7 +199,7 @@ def test_in_loop_geometric_exact():
     assert rsm_bound(cert, graph.initial) == 7
     measured = exp_runtime_bounds(
         parse("while (x = 0) { { skip } <1/2> { exit } }"),
-        constant(Ln), 120)
+        ConstantScheduler(Ln), 120)
     assert measured.lower < 7
     assert 7 - measured.lower < Fraction(1, 2 ** 20)
 
@@ -243,7 +243,7 @@ def test_stagewise_bounds_dominate_normal_form_runtime():
     queries = collect_nondet_queries(program, 20)
     for partial in iter_partial_schedules(20, queries, cap=8):
         bounds = exp_runtime_bounds(program,
-                                    standard_extension(partial), 60)
+                                    TableScheduler(partial), 60)
         assert bounds.lower <= ceiling
 
 

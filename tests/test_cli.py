@@ -122,6 +122,25 @@ def test_tree_json(geometric_file, tmp_path, capsys):
                for n in data["nodes"])
 
 
+def test_tree_json_pins_edge_kinds(tmp_path, capsys):
+    # A forced coin (<0>, <2>) has one edge, which names the arm it took;
+    # only the real <1/3> split has two.  Under const:Ln the choice keeps
+    # one nondet edge.
+    program = tmp_path / "kinds.pgcl"
+    program.write_text("{ x := 1 } [] { skip }; { skip } <1/3> { exit }; "
+                       "{ exit } <0> { skip }; { skip } <2> { exit }\n")
+    assert main(["tree", str(program), "--depth", "30",
+                 "--format", "json"]) == 0
+    edges = json.loads(capsys.readouterr().out)["edges"]
+    assert [(e["from"], e["to"], e["kind"]) for e in edges] == [
+        (0, 1, "nondet"), (1, 2, "deterministic"), (2, 3, "deterministic"),
+        (3, 4, "prob-left"), (3, 5, "prob-right"), (4, 6, "deterministic"),
+        (5, 7, "deterministic"), (6, 8, "deterministic"),
+        (8, 9, "prob-right"), (9, 10, "deterministic"),
+        (10, 11, "deterministic"), (11, 12, "prob-left"),
+        (12, 13, "deterministic")]
+
+
 def test_ast_check_exit_codes(tmp_path, geometric_file):
     spin = tmp_path / "spin.pgcl"
     spin.write_text("while (true) { skip }\n")
@@ -339,10 +358,12 @@ def test_hydra_play_scripted_stdin(monkeypatch, capsys):
 
     monkeypatch.setattr("builtins.input", fake_input)
     code = main(["hydra", "play", "--tree", "((()))", "--seed", "5"])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out
     assert "T = w" in out
     assert "T now 4" in out
     assert code == 2
+    assert captured.err == "error: end of input\n"
 
 
 def test_hydra_play_head_on_the_root_takes_no_evolutions(capsys):
@@ -877,6 +898,25 @@ def test_duplicated_json_key_exits_2(tmp_path, capsys, command, which, text,
                             f"duplicate key {key!r}\n")
 
 
+def test_rule_name_is_read_before_a_file_of_that_name(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["emit", "reduction", "--tree", "full"]) == 0
+    rule = capsys.readouterr().out
+    assert main(["emit", "reduction", "--tree", '{"explicit": [[]]}']) == 0
+    other = capsys.readouterr().out
+    assert other != rule
+    (tmp_path / "full").write_text('{"explicit": [[]]}')
+    (tmp_path / "all-zeros").mkdir()
+    assert main(["emit", "reduction", "--tree", "full"]) == 0
+    assert capsys.readouterr().out == rule
+    # A file named like a rule is read through a path that is no rule name.
+    assert main(["emit", "reduction", "--tree", "./full"]) == 0
+    assert capsys.readouterr().out == other
+    assert main(["emit", "reduction", "--tree", "all-zeros"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_tree_spec_with_duplicated_key_exits_2(tmp_path, capsys):
     text = '{"rule": "full", "rule": "all-zeros"}'
     path = tmp_path / "spec.json"
@@ -1271,6 +1311,10 @@ TREE_SPEC_SHAPE = ('a JSON tree spec is an object with an "explicit" list of '
     pytest.param(["emit", "reduction", "--tree", '{"rule": 3}'],
                  f"bad tree spec '{{\"rule\": 3}}': {TREE_SPEC_SHAPE}",
                  id="emit-rule-not-a-string"),
+    # Refused before the game starts, so no hydra or round is printed.
+    pytest.param(["hydra", "play", "--tree", "((()))", "--hercules",
+                  "leftmost-deepest", "--evolutions", "-1"],
+                 "evolutions must be non-negative", id="negative-evolutions"),
 ])
 def test_hostile_option_value_exits_2(tmp_path, capsys, argv, message):
     simple = tmp_path / "simple.pgcl"

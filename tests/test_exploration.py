@@ -11,12 +11,11 @@ from pastlab.exploration import (ResourceCapExceeded, StateGraph,
                                  ast_semicheck, build_tree,
                                  collapse_to_state_graph,
                                  collect_nondet_queries,
-                                 exp_reach_runtime_bounds, exp_runtime_bounds,
-                                 run_masses, termination_prob_upto)
-from pastlab.scheduling import (RandomScheduler, Scheduler, constant,
-                                iter_partial_schedules, parse_scheduler_spec,
-                                standard_extension, Ln, Rn)
-from pastlab.semantics import Kind, head_redex, initial_state, is_terminal
+                                 exp_runtime_bounds, run_masses)
+from pastlab.scheduling import (ConstantScheduler, RandomScheduler, Scheduler,
+                                TableScheduler, iter_partial_schedules,
+                                parse_scheduler_spec, Ln, Rn)
+from pastlab.semantics import head_redex, initial_state, is_terminal
 from pastlab.syntax import Exit, NondetChoice, parse, subterms
 from pastlab.transforms import emit_inc
 from conftest import (ballot_walk_oracle, geometric_series_limit,
@@ -44,14 +43,15 @@ def hit_depths(profile):
 
 
 def test_build_tree_single_assign():
-    tree = build_tree(parse("x := 1"), constant(Ln), 1)
+    tree = build_tree(parse("x := 1"), ConstantScheduler(Ln), 1)
     assert tree.node_count() == 2
-    (kind, child) = tree.root.children[0]
+    (direction, child) = tree.root.children[0]
     assert is_terminal(child.state)
 
 
 def test_build_tree_coin():
-    tree = build_tree(parse("{ skip } <1/2> { exit }"), constant(Ln), 2)
+    tree = build_tree(parse("{ skip } <1/2> { exit }"), ConstantScheduler(Ln),
+                      2)
     assert len(tree.root.children) == 2
     probs = sorted(c.state.prob for _, c in tree.root.children)
     assert probs == [Fraction(1, 2), Fraction(1, 2)]
@@ -60,7 +60,7 @@ def test_build_tree_coin():
 
 def test_build_tree_conservation_vs_brute_force():
     # Node count must agree with an independent recursive enumerator.
-    scheduler = constant(Ln)
+    scheduler = ConstantScheduler(Ln)
     tree = build_tree(RANDOM_WALK, scheduler, 12)
     assert tree.node_count() == states_in_layers(RANDOM_WALK, scheduler, 12)
     # More than one non-terminal state per depth: the walk branches.
@@ -71,7 +71,7 @@ def test_build_tree_conservation_vs_brute_force():
 
 def test_build_tree_node_cap():
     with pytest.raises(ResourceCapExceeded):
-        build_tree(RANDOM_WALK, constant(Ln), 40, node_cap=100)
+        build_tree(RANDOM_WALK, ConstantScheduler(Ln), 40, node_cap=100)
 
 
 def states_in_layers(program, scheduler, last):
@@ -106,12 +106,15 @@ def test_nondet_free_program_never_asks_the_scheduler(rng):
 
 
 @pytest.mark.parametrize("analysis, needed", [
-    (lambda cap: build_tree(RANDOM_WALK, constant(Ln), 10, node_cap=cap),
-     states_in_layers(RANDOM_WALK, constant(Ln), 10)),
-    (lambda cap: run_masses(RANDOM_WALK, constant(Ln), 10, node_cap=cap),
-     states_in_layers(RANDOM_WALK, constant(Ln), 10)),
-    (lambda cap: artery_widths(RANDOM_WALK, constant(Ln), 10, node_cap=cap),
-     states_in_layers(RANDOM_WALK, constant(Ln), 10)),
+    (lambda cap: build_tree(RANDOM_WALK, ConstantScheduler(Ln), 10,
+                            node_cap=cap),
+     states_in_layers(RANDOM_WALK, ConstantScheduler(Ln), 10)),
+    (lambda cap: run_masses(RANDOM_WALK, ConstantScheduler(Ln), 10,
+                            node_cap=cap),
+     states_in_layers(RANDOM_WALK, ConstantScheduler(Ln), 10)),
+    (lambda cap: artery_widths(RANDOM_WALK, ConstantScheduler(Ln), 10,
+                               node_cap=cap),
+     states_in_layers(RANDOM_WALK, ConstantScheduler(Ln), 10)),
     # The queries made within 12 steps are those of layers 0..11.
     (lambda cap: collect_nondet_queries(CHOICE_LOOP, 12, node_cap=cap),
      states_in_layers(CHOICE_LOOP, None, 11)),
@@ -125,8 +128,8 @@ def test_node_cap_admits_exactly_the_states_needed(analysis, needed):
 def test_no_unread_layer_counts_against_the_cap():
     # 18 states fill the 11 reported artery layers and the 12 layers whose
     # queries are collected; a layer beyond them must not be generated.
-    assert artery_widths(RANDOM_WALK, constant(Ln), 10, node_cap=18) == \
-        [1, 1, 1, 1, 2, 2, 2, 1, 2, 2, 2]
+    assert artery_widths(RANDOM_WALK, ConstantScheduler(Ln), 10,
+                         node_cap=18) == [1, 1, 1, 1, 2, 2, 2, 1, 2, 2, 2]
     assert collect_nondet_queries(CHOICE_LOOP, 12, node_cap=18) == {()}
 
 
@@ -161,11 +164,11 @@ def per_path_reference(tree, scheduler, target=None):
             live[key] = live.get(key, Fraction(0)) + st.prob
             paths += 1
         else:
-            for kind, child in node.children:
+            for direction, child in node.children:
                 after = memory
                 if asks and len(child.state.history) > len(st.history):
                     site = head_redex(st.program) \
-                        if kind is Kind.NONDET else None
+                        if direction in (Ln, Rn) else None
                     after = scheduler.advance(memory,
                                               child.state.history[-1], site)
                 todo.append((child, after))
@@ -239,7 +242,7 @@ def test_program_too_deep_to_hash_runs_per_path():
     # states cannot be keyed; its layers stay one entry per path.
     body = "; ".join(f"y := {i}" for i in range(1500))
     program = parse("{ skip } <1/2> { skip }; " + body)
-    profile = run_masses(program, constant(Ln), 6)
+    profile = run_masses(program, ConstantScheduler(Ln), 6)
     assert profile.frontier_paths == [1, 1]
     assert profile.frontier_mass() == 1
     assert all(st.history == () for st in profile.frontier)
@@ -259,7 +262,7 @@ def test_layer_head_too_deep_to_hash_is_keyed_once(monkeypatch):
     monkeypatch.setattr(exploration, "_filed", counting)
     body = "; ".join(f"y := {i}" for i in range(1500))
     program = parse("{ skip } <1/2> { skip }; " * 6 + body)
-    run_masses(program, constant(Ln), 20)
+    run_masses(program, ConstantScheduler(Ln), 20)
     most = max(Counter(map(id, filed)).values())
     assert most == 1
 
@@ -267,7 +270,7 @@ def test_layer_head_too_deep_to_hash_is_keyed_once(monkeypatch):
 def test_artery_widths_count_paths_on_merged_layers():
     # By depth 30 paths of the walk merge.  The widths still count live,
     # non-exit-headed paths; the node cap counts merged entries.
-    scheduler = constant(Ln)
+    scheduler = ConstantScheduler(Ln)
     tree = build_tree(RANDOM_WALK, scheduler, 30)
     widths = [sum(not is_terminal(node.state) and
                   not isinstance(head_redex(node.state.program), Exit)
@@ -281,12 +284,14 @@ def test_artery_widths_count_paths_on_merged_layers():
 
 
 def test_termination_prob_trivial():
-    assert termination_prob_upto(parse("exit"), constant(Ln), 1) == 1
-    assert termination_prob_upto(SPIN, constant(Ln), 50) == 0
+    assert run_masses(parse("exit"), ConstantScheduler(Ln),
+                      1).cumulative_hit(1) == 1
+    assert run_masses(SPIN, ConstantScheduler(Ln),
+                      50).cumulative_hit(50) == 0
 
 
 def test_random_walk_against_ballot_oracle():
-    profile = run_masses(RANDOM_WALK, constant(Ln), 23)
+    profile = run_masses(RANDOM_WALK, ConstantScheduler(Ln), 23)
     depths = hit_depths(profile)
     # Terminal mass appears only after odd iteration counts; the first
     # three hits land after iterations 1, 3, 5 of the loop.
@@ -298,27 +303,30 @@ def test_random_walk_against_ballot_oracle():
 
 
 def test_monotonicity():
-    values = [termination_prob_upto(RANDOM_WALK, constant(Ln), k)
+    values = [run_masses(RANDOM_WALK, ConstantScheduler(Ln),
+                         k).cumulative_hit(k)
               for k in range(0, 25, 4)]
     assert values == sorted(values)
-    lowers = [exp_runtime_bounds(GEOMETRIC, constant(Ln), k).lower
+    lowers = [exp_runtime_bounds(GEOMETRIC, ConstantScheduler(Ln), k).lower
               for k in range(0, 60, 7)]
     assert lowers == sorted(lowers)
 
 
 def test_exp_runtime_straight_line():
     # One assign inside the sequence, the discharge step, the second assign.
-    bounds = exp_runtime_bounds(parse("x := 1; x := 2"), constant(Ln), 10)
+    bounds = exp_runtime_bounds(parse("x := 1; x := 2"),
+                                ConstantScheduler(Ln), 10)
     assert bounds.closed and bounds.exact == 3
 
 
 def test_hit_mass_ends_where_the_walk_does():
     # The walk ends after the one assignment, so a depth of ten million
     # costs two entries, not one per requested depth.
-    profile = run_masses(parse("x := 1"), constant(Ln), 10 ** 7)
+    profile = run_masses(parse("x := 1"), ConstantScheduler(Ln), 10 ** 7)
     assert profile.hit_mass == [0, 1]
     assert profile.cumulative_hit(10 ** 7) == 1
-    bounds = exp_runtime_bounds(parse("x := 1"), constant(Ln), 10 ** 7)
+    bounds = exp_runtime_bounds(parse("x := 1"), ConstantScheduler(Ln),
+                                10 ** 7)
     assert bounds.closed and bounds.exact == 1
 
 
@@ -328,33 +336,35 @@ def test_series_tail_past_the_walk():
     # series is the last one repeated: 1/2.
     program = parse("{ x := 5 } <1/2> { skip }")
     target = lambda ps: ps.valuation.get("x") == 5
-    hit_mass = run_masses(program, constant(Ln), 100, target=target).hit_mass
+    hit_mass = run_masses(program, ConstantScheduler(Ln), 100,
+                          target=target).hit_mass
     assert len(hit_mass) < 10
     for k in (0, 1, 2, 5, 10, 100, 10 ** 7):
         terms = [1 - sum(hit_mass[:j + 1]) for j in range(min(k, 100))]
         tail = terms[len(hit_mass):]
         assert tail == [Fraction(1, 2)] * len(tail)
         expected = sum(terms) + (k - len(terms)) * Fraction(1, 2)
-        bounds = exp_reach_runtime_bounds(program, constant(Ln), target, k)
+        bounds = exp_runtime_bounds(program, ConstantScheduler(Ln), k,
+                                    target=target)
         assert bounds.lower == expected and not bounds.closed
 
 
 def test_exp_runtime_spin_grows_linearly():
     for k in (5, 17, 40):
-        bounds = exp_runtime_bounds(SPIN, constant(Ln), k)
+        bounds = exp_runtime_bounds(SPIN, ConstantScheduler(Ln), k)
         assert bounds.lower == k
         assert not bounds.closed
 
 
 def test_exp_runtime_geometric_approaches_oracle():
-    profile = run_masses(GEOMETRIC, constant(Ln), 30)
+    profile = run_masses(GEOMETRIC, ConstantScheduler(Ln), 30)
     depths = hit_depths(profile)
     stride = depths[1] - depths[0]
     offset = depths[0] - stride
     assert [offset + stride * (i + 1) for i in range(len(depths))] == depths
     limit = geometric_series_limit(offset, stride)
     for k in (40, 80, 200):
-        bounds = exp_runtime_bounds(GEOMETRIC, constant(Ln), k)
+        bounds = exp_runtime_bounds(GEOMETRIC, ConstantScheduler(Ln), k)
         assert bounds.lower < limit
         gap = limit - bounds.lower
         assert gap <= stride * (Fraction(k, stride) + 2) / 2 ** (k // stride)
@@ -363,27 +373,30 @@ def test_exp_runtime_geometric_approaches_oracle():
 def test_exp_reach_matches_runtime_on_terminal_target():
     target = lambda ps: is_terminal(ps)
     for k in (10, 30):
-        reach = exp_reach_runtime_bounds(GEOMETRIC, constant(Ln), target, k)
-        plain = exp_runtime_bounds(GEOMETRIC, constant(Ln), k)
+        reach = exp_runtime_bounds(GEOMETRIC, ConstantScheduler(Ln), k,
+                                   target=target)
+        plain = exp_runtime_bounds(GEOMETRIC, ConstantScheduler(Ln), k)
         assert reach.lower == plain.lower
         assert reach.closed == plain.closed
 
 
 def test_exp_reach_initial_state_is_zero():
     target = lambda ps: True
-    bounds = exp_reach_runtime_bounds(RANDOM_WALK, constant(Ln), target, 10)
+    bounds = exp_runtime_bounds(RANDOM_WALK, ConstantScheduler(Ln), 10,
+                                target=target)
     assert bounds.closed and bounds.exact == 0
 
 
 def test_exp_reach_x_zero_on_random_walk():
     # Hitting x = 0 precedes the loop-exit bookkeeping by a fixed margin.
     target = lambda ps: ps.valuation.get("x") == 0
-    reach = exp_reach_runtime_bounds(RANDOM_WALK, constant(Ln), target, 23)
-    plain = exp_runtime_bounds(RANDOM_WALK, constant(Ln), 23)
-    assert reach.lower < plain.lower
-    reach_profile = run_masses(RANDOM_WALK, constant(Ln), 23,
+    reach = exp_runtime_bounds(RANDOM_WALK, ConstantScheduler(Ln), 23,
                                target=target)
-    plain_profile = run_masses(RANDOM_WALK, constant(Ln), 23)
+    plain = exp_runtime_bounds(RANDOM_WALK, ConstantScheduler(Ln), 23)
+    assert reach.lower < plain.lower
+    reach_profile = run_masses(RANDOM_WALK, ConstantScheduler(Ln), 23,
+                               target=target)
+    plain_profile = run_masses(RANDOM_WALK, ConstantScheduler(Ln), 23)
     gap = [p - r for r, p in zip(hit_depths(reach_profile),
                                  hit_depths(plain_profile))]
     assert len(set(gap)) == 1  # constant bookkeeping offset
@@ -396,9 +409,9 @@ def test_subtree_scaling_property():
     parent = parse("{ skip } <1/2> { exit }; " + tail)
     skip_side = parse("skip; " + tail)
     exit_side = parse("exit; " + tail)
-    e_parent = exp_runtime_bounds(parent, constant(Ln), 30).exact
-    e_skip = exp_runtime_bounds(skip_side, constant(Ln), 30).exact
-    e_exit = exp_runtime_bounds(exit_side, constant(Ln), 30).exact
+    e_parent = exp_runtime_bounds(parent, ConstantScheduler(Ln), 30).exact
+    e_skip = exp_runtime_bounds(skip_side, ConstantScheduler(Ln), 30).exact
+    e_exit = exp_runtime_bounds(exit_side, ConstantScheduler(Ln), 30).exact
     half = Fraction(1, 2)
     assert e_parent == 1 + half * e_skip + half * e_exit
 
@@ -431,8 +444,8 @@ def test_backward_pass_equals_enumerated_minimum(rng):
         if len(queries) > 12:
             skipped += 1
             continue
-        enumerated = [termination_prob_upto(program,
-                                            standard_extension(partial), n)
+        enumerated = [run_masses(program, TableScheduler(partial),
+                                 n).cumulative_hit(n)
                       for partial in iter_partial_schedules(n, queries)]
         least = build_tree(program, None, n).least_terminal_mass()
         assert least == min(enumerated)
@@ -447,7 +460,7 @@ def test_backward_pass_equals_enumerated_minimum(rng):
 def test_least_terminal_mass_of_scheduled_tree_is_its_terminal_mass():
     # A scheduler leaves one child per nondet node, so there is no choice.
     for direction in (Ln, Rn):
-        tree = build_tree(CHOICE_LOOP, constant(direction), 30)
+        tree = build_tree(CHOICE_LOOP, ConstantScheduler(direction), 30)
         assert tree.least_terminal_mass() == tree.terminal_mass()
 
 

@@ -7,15 +7,15 @@ from pastlab import ordinal
 from pastlab.hydra import (EncodingWidthError, HydraError, HydraState,
                            LeftmostDeepest, RandomLeaf, T, Tree, LEAF,
                            canonical_shape, compile_to_pgcl, depth,
-                           head_count, isomorphic, leaves, node_count,
+                           head_count, leaves, node_count,
                            parse_hydra, play_round, surviving)
 from pastlab.ordinal import OMEGA, ZERO, from_natural, natural_sum
-from pastlab.semantics import Kind, head_redex, initial_state
+from pastlab.semantics import Direction, head_redex, initial_state
 from pastlab.scheduling import Scheduler, Ln, Rn
 from pastlab.syntax import BoolLit, While
 from pastlab.transforms import is_knievel
 from pastlab.exploration import exp_runtime_bounds
-from pastlab.scheduling import constant
+from pastlab.scheduling import ConstantScheduler
 from conftest import scheduled_step
 
 LINE = parse_hydra("((()))")          # root - mid - leaf
@@ -78,7 +78,8 @@ def test_play_round_line_no_evolutions():
     outcome = outcomes[0]
     assert outcome.survived and outcome.prob == 1
     # mid is kept, three fresh copies grow: four leaves under the root
-    assert isomorphic(outcome.result.tree, tree_from_counts([], 4))
+    assert canonical_shape(outcome.result.tree) == \
+        canonical_shape(tree_from_counts([], 4))
     assert T(outcome.result) == from_natural(4)
     assert outcome.result.n == 4
 
@@ -214,11 +215,12 @@ class EvolveScript(Scheduler):
         return self.memo[history]
 
 
-def arm(successors, kind):
+def arm(successors, direction):
     """(state, memory) of the one scheduled successor, or at a coin of the
-    arm of the given kind."""
+    arm taking the given direction."""
     if len(successors) == 2:
-        successors = [pair for pair in successors if pair[0].kind == kind]
+        successors = [pair for pair in successors
+                      if pair[0].direction is direction]
     (succ, memory), = successors
     return succ.state, memory
 
@@ -232,7 +234,7 @@ def simulate_one_round(state, evolutions):
     loop_heads = 0
     for _ in range(2000):
         current, memory = arm(scheduled_step(current, scheduler, memory),
-                              Kind.PROB_LEFT)
+                              Direction.Lp)
         redex = head_redex(current.program)
         if isinstance(redex, While) and isinstance(redex.guard, BoolLit):
             loop_heads += 1
@@ -261,7 +263,8 @@ def test_compile_round_trip_line():
         assert prob == expected.prob
         counts, root_leaves = counts_from_valuation(valuation)
         rebuilt = tree_from_counts(counts, root_leaves)
-        assert isomorphic(rebuilt, expected.result.tree)
+        assert canonical_shape(rebuilt) == \
+            canonical_shape(expected.result.tree)
         assert int(valuation.get("n")) == expected.result.n
 
 
@@ -273,17 +276,17 @@ def test_compile_round_trip_wider_tree():
         expected = surviving(play_round(state, leaf, evolutions))
         assert prob == expected.prob
         counts, root_leaves = counts_from_valuation(valuation)
-        assert isomorphic(tree_from_counts(counts, root_leaves),
-                          expected.result.tree)
+        assert canonical_shape(tree_from_counts(counts, root_leaves)) == \
+            canonical_shape(expected.result.tree)
 
 
 def test_compile_single_leaf_terminates_fixed():
     program = compile_to_pgcl(SINGLE)
-    for scheduler in (constant(Ln), constant(Rn)):
+    for scheduler in (ConstantScheduler(Ln), ConstantScheduler(Rn)):
         bounds = exp_runtime_bounds(program, scheduler, 60)
         assert bounds.closed
-    assert exp_runtime_bounds(program, constant(Ln), 60).exact == \
-        exp_runtime_bounds(program, constant(Rn), 60).exact
+    assert exp_runtime_bounds(program, ConstantScheduler(Ln), 60).exact == \
+        exp_runtime_bounds(program, ConstantScheduler(Rn), 60).exact
 
 
 def test_compile_line_reaches_pending_chops():

@@ -1,9 +1,8 @@
 import pytest
 
 from pastlab.ordinal import (OMEGA, ONE, Ordinal, OrdinalParseError, ZERO,
-                             compare, from_natural, is_finite, natural_sum,
-                             omega_pow, parse_ordinal, print_ordinal,
-                             successor)
+                             from_natural, natural_sum, parse_ordinal,
+                             print_ordinal)
 
 
 def random_ordinal(rng, height):
@@ -23,33 +22,33 @@ def random_ordinal(rng, height):
 
 
 def test_compare_examples():
-    assert compare(OMEGA, from_natural(5)) == 1
-    assert compare(natural_sum(OMEGA, ONE), natural_sum(OMEGA, ONE)) == 0
+    assert OMEGA > from_natural(5)
+    assert natural_sum(OMEGA, ONE) == natural_sum(OMEGA, ONE)
     thousand = natural_sum(Ordinal(((ONE, 1000),)), from_natural(999))
-    assert compare(omega_pow(OMEGA), thousand) == 1
+    assert Ordinal(((OMEGA, 1),)) > thousand
 
 
 def test_natural_sum_examples():
     assert natural_sum(natural_sum(OMEGA, ONE), OMEGA) == \
         natural_sum(Ordinal(((ONE, 2),)), ONE)
-    value = omega_pow(omega_pow(ONE))
+    value = Ordinal(((Ordinal(((ONE, 1),)), 1),))
     assert natural_sum(ZERO, value) == value
-    left = natural_sum(omega_pow(OMEGA), OMEGA)
+    left = natural_sum(Ordinal(((OMEGA, 1),)), OMEGA)
     assert natural_sum(left, Ordinal(((ONE, 2),))) == \
-        natural_sum(omega_pow(OMEGA), Ordinal(((ONE, 3),)))
+        natural_sum(Ordinal(((OMEGA, 1),)), Ordinal(((ONE, 3),)))
 
 
 def test_omega_pow():
-    assert omega_pow(ZERO) == ONE
-    assert omega_pow(ONE) == OMEGA
-    assert print_ordinal(omega_pow(OMEGA)) == "w^(w)*1"
+    assert Ordinal(((ZERO, 1),)) == ONE
+    assert Ordinal(((ONE, 1),)) == OMEGA
+    assert print_ordinal(Ordinal(((OMEGA, 1),))) == "w^(w)*1"
 
 
 def test_from_natural_successor_finite():
     assert from_natural(0) == ZERO
-    assert successor(OMEGA) == natural_sum(OMEGA, ONE)
-    assert not is_finite(OMEGA)
-    assert is_finite(from_natural(7))
+    assert natural_sum(OMEGA, ONE) == natural_sum(OMEGA, ONE)
+    assert not OMEGA.is_finite()
+    assert from_natural(7).is_finite()
     assert from_natural(7).finite_value() == 7
 
 
@@ -61,7 +60,7 @@ def test_canonical_form_enforced():
 
 
 def test_print_examples():
-    value = natural_sum(omega_pow(OMEGA),
+    value = natural_sum(Ordinal(((OMEGA, 1),)),
                         natural_sum(Ordinal(((ONE, 3),)), from_natural(2)))
     assert print_ordinal(value) == "w^(w)*1 + w^(1)*3 + 2"
     assert print_ordinal(ZERO) == "0"
@@ -77,7 +76,7 @@ def test_parse_round_trip_random(rng):
 def test_parse_shorthands():
     assert parse_ordinal("w") == OMEGA
     assert parse_ordinal("w*3") == Ordinal(((ONE, 3),))
-    assert parse_ordinal("w^(2)") == omega_pow(from_natural(2))
+    assert parse_ordinal("w^(2)") == Ordinal(((from_natural(2), 1),))
     assert parse_ordinal("1 + w") == natural_sum(OMEGA, ONE)  # merged to CNF
 
 
@@ -111,8 +110,8 @@ def test_laws_randomized(rng):
         bigger = natural_sum(a, ONE)
         assert natural_sum(a, c) < natural_sum(bigger, c)
         # total order consistent with equality
-        assert (compare(a, b) == 0) == (a == b)
-        assert compare(a, b) == -compare(b, a)
+        assert (not a < b and not b < a) == (a == b)
+        assert (a < b) == (b > a)
 
 
 def test_order_transitivity(rng):

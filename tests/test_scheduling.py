@@ -1,10 +1,10 @@
 import pytest
 
-from pastlab.scheduling import (EnumerationTooLarge, FunctionScheduler, Ln,
-                                PartialSchedule, RandomScheduler, Rn,
-                                bound, constant, interactive,
-                                iter_partial_schedules, SchedulerAbort,
-                                standard_extension)
+from pastlab.scheduling import (BoundedScheduler, ConstantScheduler,
+                                EnumerationTooLarge, FunctionScheduler,
+                                InteractiveScheduler, Ln, PartialSchedule,
+                                RandomScheduler, Rn, TableScheduler,
+                                iter_partial_schedules, SchedulerAbort)
 from pastlab.semantics import Direction
 from pastlab.syntax import parse
 from pastlab.exploration import collect_nondet_queries
@@ -16,14 +16,14 @@ def hist(word):
 
 def test_standard_extension_defaults_left():
     ps = PartialSchedule.of(0, {(): Rn})
-    sched = standard_extension(ps)
+    sched = TableScheduler(ps)
     assert sched.decide(hist("LnLpRn")) == Ln
     assert sched.decide(()) == Rn
 
 
 def test_standard_extension_agrees_on_domain():
     table = {hist("Ln"): Rn, hist("Lp"): Ln, hist("RnRp"): Rn}
-    sched = standard_extension(PartialSchedule.of(2, table))
+    sched = TableScheduler(PartialSchedule.of(2, table))
     for history, direction in table.items():
         assert sched.decide(history) == direction
 
@@ -63,7 +63,7 @@ def test_enumeration_covers_all_assignments():
 
 
 def test_constant_and_function():
-    assert constant(Ln).decide(hist("RnRn")) == Ln
+    assert ConstantScheduler(Ln).decide(hist("RnRn")) == Ln
     parity = FunctionScheduler(lambda h: Ln if len(h) % 2 == 0 else Rn)
     assert parity.decide(()) == Ln
     assert parity.decide(hist("Lp")) == Rn
@@ -72,7 +72,7 @@ def test_constant_and_function():
 def test_interactive_scripted_stdin():
     answers = iter(["r", "nonsense", "l"])
     printed = []
-    sched = interactive(input_fn=lambda: next(answers),
+    sched = InteractiveScheduler(input_fn=lambda: next(answers),
                         output_fn=printed.append)
     assert sched.decide(()) == Rn
     # memoized: no further input consumed
@@ -84,7 +84,7 @@ def test_interactive_scripted_stdin():
 def test_interactive_eof_aborts():
     def no_input():
         raise EOFError
-    sched = interactive(input_fn=no_input, output_fn=lambda *_: None)
+    sched = InteractiveScheduler(input_fn=no_input, output_fn=lambda *_: None)
     with pytest.raises(SchedulerAbort):
         sched.decide(())
 
@@ -111,20 +111,20 @@ def branch(sched, sites):
 
 def test_bound_overrides_after_k_ignores():
     site = object()
-    answers = branch(bound(constant(Ln), 2), [site] * 6)
+    answers = branch(BoundedScheduler(ConstantScheduler(Ln), 2), [site] * 6)
     assert answers == [Ln, Ln, Rn, Ln, Ln, Rn]
 
 
 def test_bound_strict_alternation_at_k1():
     site = object()
-    answers = branch(bound(constant(Ln), 1), [site] * 4)
+    answers = branch(BoundedScheduler(ConstantScheduler(Ln), 1), [site] * 4)
     assert answers == [Ln, Rn, Ln, Rn]
 
 
 def test_bound_transparent_when_under_k():
     inner = FunctionScheduler(lambda h: Rn if len(h) == 1 else Ln)
     site = object()
-    answers = branch(bound(inner, 3), [site] * 3)
+    answers = branch(BoundedScheduler(inner, 3), [site] * 3)
     assert answers == [inner.decide(tuple(answers[:i])) for i in range(3)]
 
 
@@ -133,7 +133,8 @@ def test_bound_tracks_sites_separately():
     # Alternate queries between two sites: each site's own run is what
     # matters, so the first query at each site still answers Ln, and the
     # third is Rn because Ln was already ignored once at site_a.
-    answers = branch(bound(constant(Ln), 1), [site_a, site_b, site_a])
+    answers = branch(BoundedScheduler(ConstantScheduler(Ln), 1),
+                     [site_a, site_b, site_a])
     assert answers == [Ln, Ln, Rn]
 
 
@@ -141,7 +142,8 @@ def test_bound_audit_never_exceeds_k():
     # One repeated syntactic site, long branch: audit consecutive answers.
     site = object()
     run_dir, run_len = None, 0
-    for direction in branch(bound(RandomScheduler(11), 3), [site] * 60):
+    for direction in branch(BoundedScheduler(RandomScheduler(11), 3),
+                            [site] * 60):
         if direction == run_dir:
             run_len += 1
         else:
@@ -153,38 +155,38 @@ def test_nested_bound_counts_its_own_answers():
     # The inner bound answers Ln Ln Ln Rn and repeats, whatever the outer
     # bound makes of its third Ln, so the outer answers Rn twice in a row.
     site = object()
-    answers = branch(bound(bound(constant(Ln), 3), 2), [site] * 8)
+    answers = branch(
+        BoundedScheduler(BoundedScheduler(ConstantScheduler(Ln), 3), 2),
+        [site] * 8)
     assert answers == [Ln, Ln, Rn, Rn] * 2
 
 
 def test_bound_requires_positive_k():
     with pytest.raises(ValueError):
-        bound(constant(Ln), 0)
+        BoundedScheduler(ConstantScheduler(Ln), 0)
 
 
 def test_bound_audits_every_branch_of_a_probabilistic_tree():
     # The k-bound applies along every branch of the execution tree, so each
     # probabilistic branch carries its own alternation discipline.
     from pastlab.exploration import build_tree
-    from pastlab.semantics import Kind
     program = parse("while (true) { { skip } <1/2> { skip }; "
                     "{ x := 1 } [] { x := 2 } }")
-    tree = build_tree(program, bound(constant(Ln), 1), 30, node_cap=100_000)
+    tree = build_tree(program, BoundedScheduler(ConstantScheduler(Ln), 1), 30,
+                      node_cap=100_000)
 
     def walk(node, trail):
         if not node.children:
             run, last = 0, None
-            for kind, direction in trail:
-                if kind is not Kind.NONDET:
+            for direction in trail:
+                if direction not in (Ln, Rn):
                     continue
                 run = run + 1 if direction == last else 1
                 last = direction
                 assert run <= 1
             return
-        for kind, child in node.children:
-            grew = len(child.state.history) > len(node.state.history)
-            direction = child.state.history[-1] if grew else None
-            walk(child, trail + [(kind, direction)])
+        for direction, child in node.children:
+            walk(child, trail + [direction])
 
     walk(tree.root, [])
 
@@ -193,7 +195,6 @@ def test_tree_independent_of_extension_beyond_size():
     # Within the schedule's horizon every query is covered by the table, so
     # how the extension answers afterwards cannot change the bounded tree.
     from pastlab.exploration import build_tree
-    from pastlab.scheduling import TableScheduler
 
     class RightExtension(TableScheduler):
         def decide(self, history, site=None):
@@ -204,6 +205,6 @@ def test_tree_independent_of_extension_beyond_size():
     size = 12
     queries = collect_nondet_queries(program, size)
     for partial in iter_partial_schedules(size, queries):
-        left = build_tree(program, standard_extension(partial), size)
+        left = build_tree(program, TableScheduler(partial), size)
         right = build_tree(program, RightExtension(partial), size)
         assert left.to_json() == right.to_json()

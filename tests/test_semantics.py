@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pastlab.semantics import (Direction, EMPTY_VALUATION, ExecState, Kind,
+from pastlab.semantics import (Direction, EMPTY_VALUATION, ExecState,
                                Successor, TerminalStepError, Valuation,
                                eval_aexpr, eval_bexpr, initial_state,
                                is_terminal, step)
@@ -40,7 +40,7 @@ def test_valuation_is_persistent_and_zero_normalised():
 def test_assign_under_sequence():
     program = parse("x := 1; while (x != 0) { skip }")
     (succ,) = step(initial_state(program))
-    assert succ.kind == Kind.DETERMINISTIC
+    assert succ.direction is None
     assert succ.state.valuation.get("x") == 1
     assert succ.state.prob == 1
     assert succ.state.history == ()
@@ -49,7 +49,7 @@ def test_assign_under_sequence():
 def test_prob_split():
     program = parse("{ x := 1 } <1/2> { x := 2 }")
     left, right = step(initial_state(program))
-    assert left.kind == Kind.PROB_LEFT and right.kind == Kind.PROB_RIGHT
+    assert left.direction is Direction.Lp and right.direction is Direction.Rp
     assert left.state.prob == Fraction(1, 2)
     assert right.state.prob == Fraction(1, 2)
     assert left.state.history == (Direction.Lp,)
@@ -77,7 +77,7 @@ def test_nondet_steps_to_both_arms():
     program = parse("{ y := 0 } [] { y := 1 }")
     state = ExecState(program, Valuation(), Fraction(1), (Direction.Lp,))
     left, right = step(state)
-    assert left.kind == right.kind == Kind.NONDET
+    assert left.site is not None and right.site is not None
     assert left.site is right.site is program
     assert (left.direction, right.direction) == (Direction.Ln, Direction.Rn)
     assert left.state.history == (Direction.Lp, Direction.Ln)
@@ -136,14 +136,14 @@ def test_probability_conservation_and_history_discipline(rng):
                 if is_terminal(st):
                     continue
                 succs = step(st)
-                if any(s.kind == Kind.NONDET for s in succs):
+                if any(s.site is not None for s in succs):
                     # Demonic branching: each direction keeps the full mass.
                     assert all(s.state.prob == st.prob for s in succs)
                 else:
                     assert sum(s.state.prob for s in succs) == st.prob
                 for succ in succs:
                     extension = len(succ.state.history) - len(st.history)
-                    if succ.kind == Kind.DETERMINISTIC:
+                    if succ.direction is None:
                         assert extension == 0
                     else:
                         assert extension == 1
@@ -187,37 +187,34 @@ def reference_split(program):
 
 
 def reference_redex_successors(redex, valuation):
-    """(program, valuation, factor, direction, kind) for each successor of
-    the head redex alone; a factor of None leaves the probability as is."""
-    det = Kind.DETERMINISTIC
+    """(program, valuation, factor, direction) for each successor of the
+    head redex alone; a factor of None leaves the probability as is."""
     if isinstance(redex, Assign):
         value = eval_aexpr(redex.expr, valuation)
-        return [(EMPTY, valuation.set(redex.var, value), None, None, det)]
+        return [(EMPTY, valuation.set(redex.var, value), None, None)]
     if isinstance(redex, (Skip, Exit)):
-        return [(EMPTY, valuation, None, None, det)]
+        return [(EMPTY, valuation, None, None)]
     if isinstance(redex, If):
         chosen = redex.then if eval_bexpr(redex.guard, valuation) \
             else redex.orelse
-        return [(chosen, valuation, None, None, det)]
+        return [(chosen, valuation, None, None)]
     if isinstance(redex, While):
         if eval_bexpr(redex.guard, valuation):
-            return [(Seq(redex.body, redex), valuation, None, None, det)]
-        return [(EMPTY, valuation, None, None, det)]
+            return [(Seq(redex.body, redex), valuation, None, None)]
+        return [(EMPTY, valuation, None, None)]
     if isinstance(redex, ProbChoice):
         p = eval_aexpr(redex.prob, valuation)
         if p <= 0:
-            return [(redex.right, valuation, None, Direction.Rp,
-                     Kind.PROB_RIGHT)]
+            return [(redex.right, valuation, None, Direction.Rp)]
         if p >= 1:
-            return [(redex.left, valuation, None, Direction.Lp,
-                     Kind.PROB_LEFT)]
-        return [(redex.left, valuation, p, Direction.Lp, Kind.PROB_LEFT),
-                (redex.right, valuation, 1 - p, Direction.Rp, Kind.PROB_RIGHT)]
+            return [(redex.left, valuation, None, Direction.Lp)]
+        return [(redex.left, valuation, p, Direction.Lp),
+                (redex.right, valuation, 1 - p, Direction.Rp)]
     if isinstance(redex, NondetChoice):
-        return [(redex.left, valuation, None, Direction.Ln, Kind.NONDET),
-                (redex.right, valuation, None, Direction.Rn, Kind.NONDET)]
+        return [(redex.left, valuation, None, Direction.Ln),
+                (redex.right, valuation, None, Direction.Rn)]
     assert isinstance(redex, Seq)  # its first component has finished
-    return [(redex.rest, valuation, None, None, det)]
+    return [(redex.rest, valuation, None, None)]
 
 
 def reference_step(state):
@@ -228,7 +225,7 @@ def reference_step(state):
         rests = ()
     out = []
     site = redex if isinstance(redex, NondetChoice) else None
-    for program, valuation, factor, direction, kind in \
+    for program, valuation, factor, direction in \
             reference_redex_successors(redex, state.valuation):
         for rest in reversed(rests):
             program = Seq(program, rest)
@@ -236,7 +233,7 @@ def reference_step(state):
         history = state.history if direction is None \
             else state.history + (direction,)
         out.append(Successor(ExecState(program, valuation, prob, history),
-                             kind, direction, site))
+                             direction, site))
     return out
 
 

@@ -9,9 +9,10 @@ import pytest
 from pastlab.certificates import check_proof_rule
 from pastlab.exploration import (artery_widths, collect_nondet_queries,
                                  exp_runtime_bounds, run_masses)
-from pastlab.scheduling import (RandomScheduler, constant, Ln, Rn,
-                                iter_partial_schedules, standard_extension)
-from pastlab.semantics import Kind, head_redex, initial_state, is_terminal
+from pastlab.scheduling import (ConstantScheduler, RandomScheduler, Ln, Rn,
+                                TableScheduler, iter_partial_schedules)
+from pastlab.semantics import (Direction, head_redex, initial_state,
+                               is_terminal)
 from pastlab.syntax import Cmp, Var, While, parse, print_program
 from pastlab.transforms import (FrontierWidthError, NonConstantProbability,
                                 TransformError, TreeSpec, cantor_pair,
@@ -81,7 +82,8 @@ def test_sequence_encoding_injective():
 def test_to_knievel_trivial_source_closes():
     out = to_knievel(parse("x := 1"))
     assert is_knievel(out)
-    for scheduler in (constant(Ln), constant(Rn), RandomScheduler(3)):
+    for scheduler in (ConstantScheduler(Ln), ConstantScheduler(Rn),
+                      RandomScheduler(3)):
         bounds = exp_runtime_bounds(out, scheduler, 200)
         assert bounds.closed
 
@@ -134,7 +136,7 @@ def live_step(state, scheduler, memory):
     successor that is not a coin's right (death) arm."""
     succ, memory = next(pair for pair
                         in scheduled_step(state, scheduler, memory)
-                        if pair[0].kind != Kind.PROB_RIGHT)
+                        if pair[0].direction is not Direction.Rp)
     return succ.state, memory
 
 
@@ -161,18 +163,18 @@ def test_to_knievel_divergent_source_keeps_cheering():
     # Bound doublings never stop, each cheering pass adds one in
     # expectation, so the lower bounds keep growing past any fixed value,
     # one unit per (exponentially longer) cheer.
-    assert count_cheers(out, constant(Ln), 4000) >= 4
-    lowers = [exp_runtime_bounds(out, constant(Ln), k).lower
+    assert count_cheers(out, ConstantScheduler(Ln), 4000) >= 4
+    lowers = [exp_runtime_bounds(out, ConstantScheduler(Ln), k).lower
               for k in (200, 800, 3200)]
     assert lowers[0] < lowers[1] < lowers[2]
     assert lowers[2] > 45
-    assert not exp_runtime_bounds(out, constant(Ln), 3200).closed
+    assert not exp_runtime_bounds(out, ConstantScheduler(Ln), 3200).closed
 
 
 def test_to_knievel_past_source_stops_cheering():
     out = to_knievel(parse("x := 1; x := 2; x := 3"))
-    total = count_cheers(out, constant(Ln), 4000)
-    bounds = exp_runtime_bounds(out, constant(Ln), 1000)
+    total = count_cheers(out, ConstantScheduler(Ln), 4000)
+    bounds = exp_runtime_bounds(out, ConstantScheduler(Ln), 1000)
     assert bounds.closed
     assert total <= 3
 
@@ -192,7 +194,7 @@ def test_to_knievel_weight_bookkeeping_is_exact():
     # simulator's terminated-mass variable must hit exactly 1.
     out = to_knievel(parse("{ x := 1 } <1/3> { x := 2 }"))
     state = initial_state(out)
-    scheduler = constant(Ln)
+    scheduler = ConstantScheduler(Ln)
     memory = scheduler.start()
     seen_one = False
     for _ in range(400):
@@ -215,7 +217,7 @@ def test_reduction_root_only_all_small_schedules():
     queries = collect_nondet_queries(program, depth)
     assert len(queries) <= 8
     for partial in iter_partial_schedules(depth, queries, cap=8):
-        profile = run_masses(program, standard_extension(partial), 220)
+        profile = run_masses(program, TableScheduler(partial), 220)
         assert not profile.frontier \
             or profile.frontier_mass() < Fraction(1, 64)
 
@@ -225,19 +227,19 @@ def test_reduction_all_zeros_branch_follower_diverges():
     # Following the zero branch exits the child-picking loop immediately
     # every round, never flips a coin, and cheers once per round: the
     # expected runtime grows without bound.
-    bounds = exp_runtime_bounds(program, constant(Rn), 300)
+    bounds = exp_runtime_bounds(program, ConstantScheduler(Rn), 300)
     assert bounds.lower > 5
     assert not bounds.closed
-    deeper = exp_runtime_bounds(program, constant(Rn), 600)
+    deeper = exp_runtime_bounds(program, ConstantScheduler(Rn), 600)
     assert deeper.lower > bounds.lower
 
 
 def test_reduction_bounded_depth_badly_behaved_converges():
     program = emit_tree_reduction(rule_tree("bounded-depth(2)"))
-    near = exp_runtime_bounds(program, constant(Ln), 200)
-    far = exp_runtime_bounds(program, constant(Ln), 400)
+    near = exp_runtime_bounds(program, ConstantScheduler(Ln), 200)
+    far = exp_runtime_bounds(program, ConstantScheduler(Ln), 400)
     assert far.lower - near.lower < Fraction(1, 100)
-    profile = run_masses(program, constant(Ln), 400)
+    profile = run_masses(program, ConstantScheduler(Ln), 400)
     assert profile.frontier_mass() < Fraction(1, 2 ** 20)
 
 
@@ -268,7 +270,7 @@ def test_reduction_disconnected_probe_loops_forever():
     # emitted edge case directly: for the root-only tree the second probe
     # always fails and the program exits instead of looping.
     program = emit_tree_reduction(explicit_tree([()]))
-    bounds = exp_runtime_bounds(program, constant(Rn), 200)
+    bounds = exp_runtime_bounds(program, ConstantScheduler(Rn), 200)
     assert bounds.closed
 
 
@@ -294,7 +296,7 @@ def test_emitters_are_knievel_with_single_live_artery():
 
 def test_ordinal_program_leaf_case_closes():
     program = emit_ordinal_program(explicit_tree([()]))
-    for scheduler in (constant(Rn), RandomScheduler(4)):
+    for scheduler in (ConstantScheduler(Rn), RandomScheduler(4)):
         bounds = exp_runtime_bounds(program, scheduler, 300)
         assert bounds.closed
 
@@ -306,7 +308,7 @@ def test_ordinal_program_chain_runs_inc_per_level():
     program = emit_ordinal_program(spec)
     # Every query: exit the selection loop at once (child 0), and stop the
     # increment loop at once as well.
-    bounds = exp_runtime_bounds(program, constant(Rn), 400)
+    bounds = exp_runtime_bounds(program, ConstantScheduler(Rn), 400)
     assert bounds.closed
 
 
