@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import pathlib
 import time
@@ -398,6 +399,71 @@ def test_hydra_play_too_many_copies_is_asked_again(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "illegal move: 1000000000 evolutions" in out
     assert out.endswith("the hydra is dead: Hercules wins\n")
+
+
+HYDRA_TREES = ["()", "(())", "(()())", "((()))", "((())())", "((()())(()))",
+               "(()(())(()()))", "((())(()))"]
+DEEP_HYDRAS = ["(((())))", "(((()))())"]
+
+# Interactive games: the answers typed at the prompts, in order.  Leaves
+# past a head, heads on the root with evolutions, unparsable answers and
+# evolutions past memory are each asked again; an empty evolutions answer
+# is left out where --evolutions would change it.
+HYDRA_SCRIPTS = [
+    ("((()))", ["0.0", "0", "0", "", "0", "0", "0", "0", "0", "0"]),
+    ("((()))", ["x", "0.0", "y", "0.0", "1", "0", "0"]),
+    ("((()))", ["0.0.0", "0", "", "0", "0", "1", "0.0", "1000000000",
+                "0.0", "3"]),
+    ("(()())", ["0.0", "0", "-1", "0", "0", "1", "1", "0", "0", "0"]),
+    ("((())(()))", ["1.0", "2", "0.0", "1", "0", "0", "1.0", "0"]),
+]
+
+
+def _hydra_runs():
+    """(argv, answers) of every pinned hydra run; answers None for a run
+    that reads no input."""
+    for tree in HYDRA_TREES + DEEP_HYDRAS + ["(("]:
+        yield ["hydra", "rank", "--tree", tree], None
+        for hercules in ["leftmost-deepest", "random:0", "random:1",
+                         "random:2", "random:3", "interactive", "sideways"]:
+            yield ["hydra", "compile", "--tree", tree,
+                   "--hercules", hercules], None
+    for tree in HYDRA_TREES + DEEP_HYDRAS:
+        for hercules in ["leftmost-deepest", "random:0", "random:1",
+                         "random:2"]:
+            for evolutions in ["0", "1", "2"]:
+                if tree in DEEP_HYDRAS and evolutions == "0":
+                    continue  # thousands of rounds
+                for seed in ["0", "1"]:
+                    yield ["hydra", "play", "--tree", tree, "--hercules",
+                           hercules, "--evolutions", evolutions,
+                           "--seed", seed], None
+    for seed in ["0", "1", "2"]:
+        for tree, answers in HYDRA_SCRIPTS:
+            yield ["hydra", "play", "--tree", tree, "--seed", seed], answers
+
+
+def test_hydra_output_is_pinned(monkeypatch, capsys):
+    # SHA-256 of the exit code, stdout and stderr of hydra rank, compile
+    # (every strategy, trees within and past the encoding) and play
+    # (scripted, and interactive with each prompt echoed as input() does).
+    digest = hashlib.sha256()
+    for argv, answers in _hydra_runs():
+        typed = iter(answers or [])
+
+        def fake_input(prompt=""):
+            print(prompt, end="")
+            try:
+                return next(typed)
+            except StopIteration:
+                raise EOFError from None
+
+        monkeypatch.setattr("builtins.input", fake_input)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        digest.update(f"{argv}\0{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == (
+        "8aa2753cfd2251d5fc175820e924d80e1b9b9732fdae174056b563089fcbfc85")
 
 
 def test_node_cap_env_override(geometric_file, monkeypatch, capsys):
