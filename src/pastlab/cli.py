@@ -308,27 +308,23 @@ def cmd_emit(args) -> int:
 
 def _render_hydra(state: hydra.HydraState) -> str:
     lines = [f"capacity n = {state.n}"]
-
-    def walk(tree, path, indent):
+    for path, tree in hydra.nodes(state.tree):
         label = ".".join(str(i) for i in path) if path else "root"
         kind = "head" if (tree.is_leaf() and path) else "node"
-        lines.append("  " * indent + f"{label} ({kind})")
-        for i, child in enumerate(tree.children):
-            walk(child, path + (i,), indent + 1)
-
-    walk(state.tree, (), 0)
+        lines.append("  " * len(path) + f"{label} ({kind})")
     return "\n".join(lines)
 
 
 def _hercules(spec: str):
-    """The strategy a --hercules value names: "interactive",
-    "leftmost-deepest", or ("random", seed) for random:SEED."""
-    if spec in ("interactive", "leftmost-deepest"):
-        return spec
+    """The strategy a --hercules value names, None for interactive."""
+    if spec == "interactive":
+        return None
+    if spec == "leftmost-deepest":
+        return hydra.LeftmostDeepest()
     kind, _, seed = spec.partition(":")
     if kind == "random":
         try:
-            return ("random", int(seed))
+            return hydra.RandomLeaf(int(seed))
         except ValueError:
             pass
     raise CliError(f"unknown hercules strategy {spec!r} (expected "
@@ -342,64 +338,69 @@ def cmd_hydra_rank(args) -> int:
 
 def cmd_hydra_compile(args) -> int:
     state = hydra.parse_hydra(args.tree)
-    program = hydra.compile_to_pgcl(state, _hercules(args.hercules))
+    hercules = _hercules(args.hercules)
+    # Compiled first, so that a tree past the encoding is refused first.
+    program = hydra.compile_to_pgcl(state, hercules or hydra.LeftmostDeepest())
+    if hercules is None:
+        raise CliError("unknown strategy 'interactive'")
     _write_output(print_program(program), args.output)
     return 0
+
+
+def _move(strategy, state, round_no: int, evolutions: int):
+    """The round's (leaf, evolutions): the strategy's head, or the answers
+    typed at the prompt, None when they are no move.  A scripted round, or
+    an empty evolutions answer, takes `evolutions`."""
+    if strategy is None:
+        try:
+            raw = input(f"round {round_no}: leaf to chop (e.g. 0 or 0.1)? ")
+            leaf = tuple(int(p) for p in raw.strip().split(".") if p != "")
+            answer = input("evolutions? ").strip()
+            if answer:
+                return leaf, int(answer)
+        except EOFError as exc:
+            raise CliError("end of input") from exc
+        except ValueError:
+            print("bad input, try again")
+            return None
+    else:
+        leaf = strategy.choose(state)
+    # A head hanging on the root has no grandparent to regrow under.
+    count = evolutions if len(leaf) >= 2 else 0
+    if strategy is not None:
+        print(f"round {round_no}: chopping {'.'.join(map(str, leaf))} "
+              f"with {count} evolutions")
+    return leaf, count
 
 
 def cmd_hydra_play(args) -> int:
     state = hydra.parse_hydra(args.tree)
     rng = random.Random(args.seed)
     strategy = _hercules(args.hercules)
-    interactive = strategy == "interactive"
-    if strategy == "leftmost-deepest":
-        strategy = hydra.LeftmostDeepest()
-    elif not interactive:
-        strategy = hydra.RandomLeaf(strategy[1])
-    round_no = 0
+    round_no = 1
     while True:
         print(_render_hydra(state))
         print(f"T = {hydra.T(state)}")
         if not hydra.leaves(state.tree):
             print("the hydra is dead: Hercules wins")
             return 0
-        round_no += 1
-        if interactive:
-            try:
-                raw = input(f"round {round_no}: leaf to chop "
-                            f"(e.g. 0 or 0.1)? ").strip()
-                leaf = tuple(int(p) for p in raw.split(".") if p != "")
-                evolutions = int(input("evolutions? ").strip() or "0")
-            except EOFError as exc:
-                raise CliError("end of input") from exc
-            except ValueError:
-                print("bad input, try again")
-                round_no -= 1
-                continue
-        else:
-            leaf = strategy.choose(state)
-            # A head hanging on the root has no grandparent to regrow under.
-            evolutions = args.evolutions if len(leaf) >= 2 else 0
-            print(f"round {round_no}: chopping "
-                  f"{'.'.join(map(str, leaf)) or 'root'} "
-                  f"with {evolutions} evolutions")
+        move = _move(strategy, state, round_no, args.evolutions)
+        if move is None:
+            continue
+        leaf, evolutions = move
         try:
             outcomes = hydra.play_round(state, leaf, evolutions)
         except hydra.HydraError as exc:
+            if strategy is not None:
+                raise CliError(f"illegal move: {exc}") from exc
             print(f"illegal move: {exc}")
-            round_no -= 1
-            if not interactive:
-                return 2
             continue
-        died = False
+        round_no += 1
         for coin in range(evolutions):
             if rng.random() < 0.5:
                 print(f"evolution {coin + 1} failed: the hydra implodes, "
                       f"Hercules wins")
-                died = True
-                break
-        if died:
-            return 0
+                return 0
         survivor = hydra.surviving(outcomes)
         state = survivor.result
         print(f"survived with probability {print_rational(survivor.prob)}; "
@@ -506,7 +507,8 @@ def _build_parser() -> argparse.ArgumentParser:
     play.add_argument("--hercules", default="interactive",
                       help="interactive | leftmost-deepest | random:SEED")
     play.add_argument("--evolutions", type=int, default=0,
-                      help="evolutions per round for scripted strategies")
+                      help="evolutions per round of a scripted strategy, "
+                      "and for an empty answer at the prompt")
     for p in (rank, compile_, play):
         p.add_argument("--tree", required=True,
                        help='nested parentheses, e.g. "((()))"')
@@ -541,8 +543,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        print("error: program nests too deeply for this analysis",
-              file=sys.stderr)
+        print(f"error: {'hydra' if args.command == 'hydra' else 'program'} "
+              f"nests too deeply for this analysis", file=sys.stderr)
         return 2
 
 

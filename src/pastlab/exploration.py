@@ -488,8 +488,8 @@ class StateGraph:
         if unknown:
             raise ValueError(f"unknown field {reprlib.repr(unknown[0])}")
         initial = data.get("initial", 0)
-        if initial not in range(len(nodes)):
-            raise ValueError(f"initial node {initial} is missing")
+        if type(initial) is not int or initial not in range(len(nodes)):
+            raise ValueError(f"initial node {json.dumps(initial)} is missing")
         program = parse(nodes[initial]["key"].partition(" | ")[0])
         try:
             graph = collapse_to_state_graph(program, len(nodes))
@@ -510,13 +510,15 @@ _ABSENT = object()
 
 def _first_difference(what: str, given: list, derived: list) -> None:
     """ValueError naming the first entry of a graph file's list that is not
-    the re-derived graph's entry at the same position."""
+    the re-derived graph's entry at the same position, where false, true
+    and 0.0 are not the numbers 0 and 1."""
     def show(entry):
         return "absent" if entry is _ABSENT else json.dumps(entry)
 
     for i, (entry, want) in enumerate(zip_longest(given, derived,
                                                   fillvalue=_ABSENT)):
-        if entry != want:
+        if entry != want or any(type(entry[key]) is not type(value)
+                                for key, value in want.items()):
             raise ValueError(f"{what} {i} is {show(entry)}, "
                              f"re-derived {show(want)}")
 

@@ -25,8 +25,8 @@ from typing import List, Optional
 
 from .ordinal import Ordinal
 from .syntax import (ABin, Assign, BoolLit, Cmp, EMPTY, EXIT, If,
-                     NondetChoice, ProbChoice, Program, RatLit, SKIP, Var,
-                     While, seq_of)
+                     NondetChoice, Program, Var, While, seq_of)
+from .transforms import COIN, chain, num
 
 
 class HydraError(ValueError):
@@ -73,21 +73,21 @@ class RoundOutcome:
 # Tree utilities
 # ---------------------------------------------------------------------------
 
+def nodes(tree: Tree):
+    """(root path, subtree) of every node in document order, by an explicit
+    stack."""
+    stack = [((), tree)]
+    while stack:
+        path, t = stack.pop()
+        yield path, t
+        stack.extend((path + (i,), t.children[i])
+                     for i in reversed(range(len(t.children))))
+
+
 def leaves(tree: Tree) -> List[tuple]:
-    """Root paths of all leaves, in document order (the root itself counts
-    only when the tree has a single node, in which case it has no head)."""
-    out = []
-
-    def walk(t, path):
-        if t.is_leaf():
-            out.append(path)
-        for i, child in enumerate(t.children):
-            walk(child, path + (i,))
-
-    if tree.is_leaf():
-        return []
-    walk(tree, ())
-    return out
+    """Root paths of the heads, the leaves below the root, in document
+    order."""
+    return [path for path, t in nodes(tree) if path and t.is_leaf()]
 
 
 def _fold(tree: Tree, combine):
@@ -173,30 +173,21 @@ def T(h) -> Ordinal:
 # Round mechanics
 # ---------------------------------------------------------------------------
 
-def _remove_leaf(tree: Tree, path: tuple) -> Tree:
-    if not path:
-        raise HydraError("the root is not a head")
-    index = path[0]
-    if index >= len(tree.children):
-        raise HydraError(f"no child {index}")
-    child = tree.children[index]
-    if len(path) == 1:
-        if not child.is_leaf():
-            raise HydraError("chosen node is not a leaf")
-        new_children = tree.children[:index] + tree.children[index + 1:]
-        return Tree(new_children)
-    return Tree(tree.children[:index]
-                + (_remove_leaf(child, path[1:]),)
-                + tree.children[index + 1:])
+def _rebuild(tree: Tree, path: tuple, change) -> Tree:
+    """tree with the node at path replaced by change(node); only the nodes
+    along the path are rebuilt, by an explicit stack."""
+    spine = [tree]
+    for i in path:
+        spine.append(spine[-1].children[i])
+    node = change(spine.pop())
+    for i in reversed(path):
+        parent = spine.pop()
+        node = Tree(parent.children[:i] + (node,) + parent.children[i + 1:])
+    return node
 
 
-def _attach(tree: Tree, path: tuple, extra: Tree, copies: int) -> Tree:
-    if not path:
-        return Tree(tree.children + (extra,) * copies)
-    index = path[0]
-    return Tree(tree.children[:index]
-                + (_attach(tree.children[index], path[1:], extra, copies),)
-                + tree.children[index + 1:])
+def _without_child(tree: Tree, i: int) -> Tree:
+    return Tree(tree.children[:i] + tree.children[i + 1:])
 
 
 def play_round(h: HydraState, leaf: tuple, evolutions: int) -> List[RoundOutcome]:
@@ -213,22 +204,24 @@ def play_round(h: HydraState, leaf: tuple, evolutions: int) -> List[RoundOutcome
     leaf = tuple(leaf)
     if evolutions < 0:
         raise HydraError("evolutions must be non-negative")
-    node = h.node(leaf)
-    if not node.is_leaf():
+    if not h.node(leaf).is_leaf():
         raise HydraError("chosen node is not a leaf")
     if not leaf:
         raise HydraError("the root is not a head")
-    removed = _remove_leaf(h.tree, leaf)
-    has_grandparent = len(leaf) >= 2
-    if not has_grandparent:
+    if len(leaf) == 1:
         if evolutions > 0:
             raise HydraError("cannot evolve without a grandparent")
-        return [RoundOutcome(True, Fraction(1), HydraState(removed, h.n))]
-    parent_path = leaf[:-1]
-    grandparent_path = leaf[:-2]
-    subtree = removed
-    for i in parent_path:
-        subtree = subtree.children[i]
+        return [RoundOutcome(True, Fraction(1), HydraState(
+            _without_child(h.tree, leaf[0]), h.n))]
+    p, i = leaf[-2:]
+
+    def regrow(grandparent):
+        # The parent stays in place and every copy is that same object.
+        parent = _without_child(grandparent.children[p], i)
+        return Tree(grandparent.children[:p] + (parent,)
+                    + grandparent.children[p + 1:]
+                    + (parent,) * (new_capacity - 1))
+
     try:
         # A tuple holds at most sys.maxsize items, which 4**evolutions alone
         # passes once 2 * evolutions reaches its bit length: the power is
@@ -237,15 +230,14 @@ def play_round(h: HydraState, leaf: tuple, evolutions: int) -> List[RoundOutcome
                 or h.n * 4 ** evolutions - 1 > sys.maxsize:
             raise MemoryError
         new_capacity = h.n * 4 ** evolutions
-        grown = _attach(removed, grandparent_path, subtree, new_capacity - 1)
+        grown = _rebuild(h.tree, leaf[:-2], regrow)
     except MemoryError:
         raise HydraError(f"{evolutions} evolutions regrow more copies "
                          f"than fit in memory") from None
-    outcomes = [RoundOutcome(True, Fraction(1, 2 ** evolutions),
-                             HydraState(grown, new_capacity))]
-    for i in range(1, evolutions + 1):
-        outcomes.append(RoundOutcome(False, Fraction(1, 2 ** i), None))
-    return outcomes
+    return [RoundOutcome(True, Fraction(1, 2 ** evolutions),
+                         HydraState(grown, new_capacity))] + [
+        RoundOutcome(False, Fraction(1, 2 ** coin), None)
+        for coin in range(1, evolutions + 1)]
 
 
 def surviving(outcomes: List[RoundOutcome]) -> RoundOutcome:
@@ -279,11 +271,18 @@ class LeftmostDeepest:
 
         return max(candidates, key=rank)
 
+    def priority(self, width: int) -> list:
+        """The leaf classes of the compiled game (see below) in the order
+        Hercules serves them: the deepest class first."""
+        return list(range(width, 0, -1)) + [0]
+
 
 class RandomLeaf:
-    """Uniformly random head, deterministic for a fixed seed."""
+    """Uniformly random head, deterministic for a fixed seed.  Compiled, the
+    seed instead fixes one shuffled class order for the whole game."""
 
     def __init__(self, seed: int):
+        self.seed = seed
         self.rng = random.Random(seed)
 
     def choose(self, h: HydraState) -> tuple:
@@ -291,6 +290,11 @@ class RandomLeaf:
         if not candidates:
             raise HydraError("no heads left")
         return self.rng.choice(candidates)
+
+    def priority(self, width: int) -> list:
+        order = LeftmostDeepest().priority(width)
+        random.Random(self.seed).shuffle(order)
+        return order
 
 
 # ---------------------------------------------------------------------------
@@ -306,88 +310,62 @@ class RandomLeaf:
 # count, so the width fixed at compile time suffices forever.  Deeper trees
 # have no such finite-variable numbering here and are refused.
 
-def _num(value) -> RatLit:
-    return RatLit(Fraction(value))
-
-
 def _class_counts(h: HydraState):
     """(counts per leaf-class 1..width, root leaf count) for depth <= 2."""
     if depth(h.tree) > 2:
         raise EncodingWidthError(
             "tree too large for the configured encoding width: "
             "only hydras of depth <= 2 have the class encoding")
-    b = 0
-    classes = {}
-    for child in h.tree.children:
-        if child.is_leaf():
-            b += 1
-        else:
-            c = len(child.children)
-            classes[c] = classes.get(c, 0) + 1
-    width = max(classes) if classes else 0
-    return [classes.get(c, 0) for c in range(1, width + 1)], b
+    classes = Counter(len(child.children) for child in h.tree.children)
+    b = classes.pop(0, 0)
+    return [classes[c] for c in range(1, max(classes, default=0) + 1)], b
 
 
 def _evolution_block() -> Program:
-    evolve_choice = NondetChoice(Assign("evolve", _num(0)),
-                                 Assign("evolve", _num(1)))
+    evolve_choice = NondetChoice(Assign("evolve", num(0)),
+                                 Assign("evolve", num(1)))
     body = seq_of([
-        ProbChoice(SKIP, _num(Fraction(1, 2)), EXIT),
-        Assign("n", ABin("*", _num(4), Var("n"))),
+        COIN,
+        Assign("n", ABin("*", num(4), Var("n"))),
         evolve_choice,
     ])
-    return seq_of([evolve_choice, While(Cmp("=", Var("evolve"), _num(1)), body)])
+    return seq_of([evolve_choice, While(Cmp("=", Var("evolve"), num(1)), body)])
 
 
 def _round_program(c: int) -> Program:
     """One round chopping a leaf in class c (c = 0 chops a root leaf)."""
     if c == 0:
-        return Assign("b", ABin("-", Var("b"), _num(1)))
-    target = f"h{c}" if c >= 1 else "b"
+        return Assign("b", ABin("-", Var("b"), num(1)))
     gain = "b" if c == 1 else f"h{c - 1}"
     return seq_of([
-        Assign(target, ABin("-", Var(target), _num(1))),
+        Assign(f"h{c}", ABin("-", Var(f"h{c}"), num(1))),
         _evolution_block(),
         Assign(gain, ABin("+", Var(gain), Var("n"))),
     ])
 
 
-def _priority_dispatch(order) -> Program:
-    """if (class count > 0) round else if ... chained along the priority."""
-    prog: Program = EMPTY
-    for c in reversed(order):
-        var = "b" if c == 0 else f"h{c}"
-        prog = If(Cmp(">", Var(var), _num(0)), _round_program(c), prog)
-    return prog
-
-
-def compile_to_pgcl(h: HydraState, hercules="leftmost-deepest") -> Program:
+def compile_to_pgcl(h: HydraState,
+                    hercules=LeftmostDeepest()) -> Program:
     """Compile the whole game into a pGCL program.
 
     The program's nondeterministic choices are exactly the Hydra's evolution
     decisions; deaths are skip-or-exit coin flips, so the output is already
-    in normal form.  Hercules's strategy is fixed at compile time as a
-    priority order over leaf classes: leftmost-deepest prefers the deepest
-    class and random(seed) uses a seed-shuffled priority.
+    in normal form.  Hercules's strategy is fixed at compile time as the
+    order over leaf classes that hercules.priority(width) gives.
     """
     counts, b = _class_counts(h)
     width = len(counts)
-    order = list(range(width, 0, -1)) + [0]
-
-    if isinstance(hercules, tuple) and hercules[0] == "random":
-        random.Random(hercules[1]).shuffle(order)
-    elif hercules != "leftmost-deepest":
-        raise HydraError(f"unknown strategy {hercules!r}")
-
     total = Var("b")
     for c in range(1, width + 1):
         total = ABin("+", Var(f"h{c}"), total)
 
     body = seq_of([
-        If(Cmp("=", total, _num(0)), EXIT, EMPTY),
-        _priority_dispatch(order),
+        If(Cmp("=", total, num(0)), EXIT, EMPTY),
+        chain([(Cmp(">", Var(f"h{c}" if c else "b"), num(0)),
+                 _round_program(c)) for c in hercules.priority(width)],
+              EMPTY),
     ])
-    inits = [Assign("n", _num(h.n)), Assign("b", _num(b))]
-    for c in range(1, width + 1):
-        inits.append(Assign(f"h{c}", _num(counts[c - 1])))
+    inits = [Assign("n", num(h.n)), Assign("b", num(b))]
+    inits += [Assign(f"h{c}", num(count))
+              for c, count in enumerate(counts, start=1)]
     return seq_of(inits + [While(BoolLit(True), body)])

@@ -163,14 +163,14 @@ def is_knievel(p: Program) -> bool:
 # Shared construction helpers
 # ---------------------------------------------------------------------------
 
-def _num(value) -> RatLit:
+def num(value) -> RatLit:
     return RatLit(Fraction(value))
 
 
-COIN = ProbChoice(SKIP, _num(Fraction(1, 2)), EXIT)
+COIN = ProbChoice(SKIP, num(Fraction(1, 2)), EXIT)
 
 
-def _chain(conditions, otherwise: Program) -> Program:
+def chain(conditions, otherwise: Program) -> Program:
     """Nested if dispatch: first matching condition wins."""
     prog = otherwise
     for guard, body in reversed(conditions):
@@ -183,14 +183,14 @@ def _append_child(child_expr) -> Program:
     of node + child computed by a counting loop."""
     return seq_of([
         Assign("d", ABin("+", Var("node"), child_expr)),
-        Assign("t", _num(0)),
-        Assign("i", _num(0)),
+        Assign("t", num(0)),
+        Assign("i", num(0)),
         While(Cmp("<", Var("i"), Var("d")), seq_of([
-            Assign("i", ABin("+", Var("i"), _num(1))),
+            Assign("i", ABin("+", Var("i"), num(1))),
             Assign("t", ABin("+", Var("t"), Var("i"))),
         ])),
         Assign("node", ABin("+", Var("t"), Var("node"))),
-        Assign("len", ABin("+", Var("len"), _num(1))),
+        Assign("len", ABin("+", Var("len"), num(1))),
     ])
 
 
@@ -198,20 +198,20 @@ def _membership_check(spec: TreeSpec) -> Program:
     """Set z to 1 exactly when the packed (node, len) pair encodes a
     sequence of the tree."""
     if spec.rule == "full":
-        return Assign("z", _num(1))
+        return Assign("z", num(1))
     if spec.rule == "all-zeros":
-        return If(Cmp("=", Var("node"), _num(0)),
-                  Assign("z", _num(1)), Assign("z", _num(0)))
+        return If(Cmp("=", Var("node"), num(0)),
+                  Assign("z", num(1)), Assign("z", num(0)))
     if spec.rule == "bounded-depth":
-        return If(Cmp("<=", Var("len"), _num(spec.depth)),
-                  Assign("z", _num(1)), Assign("z", _num(0)))
+        return If(Cmp("<=", Var("len"), num(spec.depth)),
+                  Assign("z", num(1)), Assign("z", num(0)))
     conditions = []
     for seq in sorted(spec.explicit):
         guard = BBin("and",
-                     Cmp("=", Var("len"), _num(len(seq))),
-                     Cmp("=", Var("node"), _num(encode_sequence(seq))))
-        conditions.append((guard, Assign("z", _num(1))))
-    return _chain(conditions, Assign("z", _num(0)))
+                     Cmp("=", Var("len"), num(len(seq))),
+                     Cmp("=", Var("node"), num(encode_sequence(seq))))
+        conditions.append((guard, Assign("z", num(1))))
+    return chain(conditions, Assign("z", num(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +225,19 @@ def _numgen_block() -> Program:
     s, so 1/s tracks the probability of the live branch; the closing wait
     loop of length s then adds exactly one to the expected runtime."""
     return seq_of([
-        Assign("x", _num(0)),
-        Assign("y", _num(0)),
-        Assign("w", _num(0)),
-        While(Cmp("=", Var("y"), _num(0)), seq_of([
-            Assign("x", ABin("+", Var("x"), _num(1))),
-            NondetChoice(Assign("y", _num(0)), Assign("y", _num(1))),
-            If(Cmp("=", Var("y"), _num(0)), seq_of([
+        Assign("x", num(0)),
+        Assign("y", num(0)),
+        Assign("w", num(0)),
+        While(Cmp("=", Var("y"), num(0)), seq_of([
+            Assign("x", ABin("+", Var("x"), num(1))),
+            NondetChoice(Assign("y", num(0)), Assign("y", num(1))),
+            If(Cmp("=", Var("y"), num(0)), seq_of([
                 COIN,
-                Assign("s", ABin("*", _num(2), Var("s"))),
+                Assign("s", ABin("*", num(2), Var("s"))),
             ]), EMPTY),
         ])),
         While(Cmp("<", Var("w"), Var("s")),
-              Assign("w", ABin("+", Var("w"), _num(1)))),
+              Assign("w", ABin("+", Var("w"), num(1)))),
     ])
 
 
@@ -245,26 +245,26 @@ def emit_tree_reduction(spec: TreeSpec) -> Program:
     """The guessing program for a tree: schedulers choose a branch child by
     child; walking off the tree triggers one probe for a validated deeper
     node (disconnected input: loop forever) and otherwise stops."""
-    edge_case = If(Cmp("=", Var("z"), _num(0)), seq_of([
+    edge_case = If(Cmp("=", Var("z"), num(0)), seq_of([
         _numgen_block(),
-        Assign("n2", ABin("-", Var("x"), _num(1))),
-        While(Cmp(">", Var("n2"), _num(0)), seq_of([
+        Assign("n2", ABin("-", Var("x"), num(1))),
+        While(Cmp(">", Var("n2"), num(0)), seq_of([
             _numgen_block(),
-            _append_child(ABin("-", Var("x"), _num(1))),
-            Assign("n2", ABin("-", Var("n2"), _num(1))),
+            _append_child(ABin("-", Var("x"), num(1))),
+            Assign("n2", ABin("-", Var("n2"), num(1))),
         ])),
         _membership_check(spec),
-        If(Cmp("=", Var("z"), _num(1)),
+        If(Cmp("=", Var("z"), num(1)),
            While(BoolLit(True), SKIP), EMPTY),
         EXIT,
     ]), EMPTY)
     body = seq_of([
         _numgen_block(),
-        _append_child(ABin("-", Var("x"), _num(1))),
+        _append_child(ABin("-", Var("x"), num(1))),
         _membership_check(spec),
         edge_case,
     ])
-    return seq_of([Assign("s", _num(1)), While(BoolLit(True), body)])
+    return seq_of([Assign("s", num(1)), While(BoolLit(True), body)])
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +278,19 @@ def emit_inc(cap: Optional[int] = None) -> Program:
     """The increment gadget: a scheduler-chosen doubling run, one survival
     coin per iteration, then a busy-wait of the selected length.  With cap,
     the doubling stops at the cap so the state space stays finite."""
-    guard = Cmp("=", Var("iy"), _num(0))
+    guard = Cmp("=", Var("iy"), num(0))
     if cap is not None:
-        guard = BBin("and", guard, Cmp("<", Var("ix"), _num(cap)))
+        guard = BBin("and", guard, Cmp("<", Var("ix"), num(cap)))
     return seq_of([
-        Assign("ix", _num(1)),
-        Assign("iy", _num(0)),
+        Assign("ix", num(1)),
+        Assign("iy", num(0)),
         While(guard, seq_of([
-            Assign("ix", ABin("*", _num(2), Var("ix"))),
-            NondetChoice(Assign("iy", _num(0)), Assign("iy", _num(1))),
+            Assign("ix", ABin("*", num(2), Var("ix"))),
+            NondetChoice(Assign("iy", num(0)), Assign("iy", num(1))),
             COIN,
         ])),
-        While(Cmp(">", Var("ix"), _num(0)),
-              Assign("ix", ABin("-", Var("ix"), _num(1)))),
+        While(Cmp(">", Var("ix"), num(0)),
+              Assign("ix", ABin("-", Var("ix"), num(1)))),
     ])
 
 
@@ -298,27 +298,27 @@ def emit_ordinal_program(spec: TreeSpec) -> Program:
     """Tree walker whose minimal rank mirrors the tree's ordinal: each
     validated child costs a run of the increment gadget."""
     child_selection = seq_of([
-        Assign("x", _num(0)),
-        Assign("y", _num(0)),
-        While(Cmp("=", Var("y"), _num(0)), seq_of([
-            Assign("x", ABin("+", Var("x"), _num(1))),
-            NondetChoice(Assign("y", _num(0)), Assign("y", _num(1))),
+        Assign("x", num(0)),
+        Assign("y", num(0)),
+        While(Cmp("=", Var("y"), num(0)), seq_of([
+            Assign("x", ABin("+", Var("x"), num(1))),
+            NondetChoice(Assign("y", num(0)), Assign("y", num(1))),
             COIN,
         ])),
     ])
     machine = seq_of([
-        Assign("msteps", _num(MACHINE_STEPS)),
-        While(Cmp(">", Var("msteps"), _num(0)), seq_of([
+        Assign("msteps", num(MACHINE_STEPS)),
+        While(Cmp(">", Var("msteps"), num(0)), seq_of([
             COIN,
-            Assign("msteps", ABin("-", Var("msteps"), _num(1))),
+            Assign("msteps", ABin("-", Var("msteps"), num(1))),
         ])),
         _membership_check(spec),
     ])
     body = seq_of([
         child_selection,
-        _append_child(ABin("-", Var("x"), _num(1))),
+        _append_child(ABin("-", Var("x"), num(1))),
         machine,
-        If(Cmp("=", Var("z"), _num(0)), EXIT, EMPTY),
+        If(Cmp("=", Var("z"), num(0)), EXIT, EMPTY),
         emit_inc(),
     ])
     return While(BoolLit(True), body)
@@ -347,7 +347,7 @@ def _rename(node, slot):
 def _terminate(slot: int) -> Program:
     return seq_of([
         Assign("term", ABin("+", Var("term"), Var(f"w{slot}"))),
-        Assign(f"a{slot}", _num(0)),
+        Assign(f"a{slot}", num(0)),
     ])
 
 
@@ -355,7 +355,7 @@ def _goto(slot: int, pc: Optional[int]) -> Program:
     """The slot's jump to pc; pc None is the halt address."""
     if pc is None:
         return _terminate(slot)
-    return Assign(f"pc{slot}", _num(pc))
+    return Assign(f"pc{slot}", num(pc))
 
 
 def to_knievel(program: Program, horizon_policy="double") -> Program:
@@ -389,17 +389,17 @@ def to_knievel(program: Program, horizon_policy="double") -> Program:
         """The step of a coin: the right arm's branch moves into the first
         free slot, with the weight 1 - value and a copy of the variables."""
         def step(slot):
-            spawn = _chain([(Cmp("=", Var(f"a{target}"), _num(0)), seq_of(
-                [Assign(f"a{target}", _num(1)),
-                 Assign(f"pc{target}", _num(halt if right is None else right)),
+            spawn = chain([(Cmp("=", Var(f"a{target}"), num(0)), seq_of(
+                [Assign(f"a{target}", num(1)),
+                 Assign(f"pc{target}", num(halt if right is None else right)),
                  Assign(f"w{target}",
-                        ABin("*", _num(1 - value), Var(f"w{slot}")))]
+                        ABin("*", num(1 - value), Var(f"w{slot}")))]
                 + [Assign(f"s{target}_{v}", Var(f"s{slot}_{v}"))
                    for v in source_vars]))
                 for target in range(1, width + 1) if target != slot], EMPTY)
             return seq_of([
                 spawn,
-                Assign(f"w{slot}", ABin("*", _num(value), Var(f"w{slot}"))),
+                Assign(f"w{slot}", ABin("*", num(value), Var(f"w{slot}"))),
                 _goto(slot, left),
             ])
         return step
@@ -470,28 +470,28 @@ def to_knievel(program: Program, horizon_policy="double") -> Program:
     for slot in range(2, width + 1):
         alive_sum = ABin("+", Var(f"a{slot}"), alive_sum)
 
-    round_body = [If(Cmp("=", Var(f"a{slot}"), _num(1)), _chain(
-        [(Cmp("=", Var(f"pc{slot}"), _num(pc)), step(slot))
+    round_body = [If(Cmp("=", Var(f"a{slot}"), num(1)), chain(
+        [(Cmp("=", Var(f"pc{slot}"), num(pc)), step(slot))
          for pc, step in enumerate(steps)], _terminate(slot)), EMPTY)
         for slot in range(1, width + 1)]
     round_body += [
         Assign("cer", ABin("+", Var("cer"),
-                           ABin("-", _num(1), Var("term")))),
+                           ABin("-", num(1), Var("term")))),
         COIN,
-        Assign("chl", ABin("*", _num(2), Var("chl"))),
+        Assign("chl", ABin("*", num(2), Var("chl"))),
         If(Cmp(">", Var("cer"), Var("bnd")), seq_of([
-            Assign("bnd", ABin("*", _num(2), Var("bnd"))),
-            Assign("cw", _num(0)),
+            Assign("bnd", ABin("*", num(2), Var("bnd"))),
+            Assign("cw", num(0)),
             While(Cmp("<", Var("cw"), Var("chl")),
-                  Assign("cw", ABin("+", Var("cw"), _num(1)))),
+                  Assign("cw", ABin("+", Var("cw"), num(1)))),
         ]), EMPTY),
     ]
     inits = [
-        Assign("a1", _num(1)),
-        Assign("w1", _num(1)),
-        Assign("pc1", _num(halt if entry is None else entry)),
-        Assign("bnd", _num(initial_bound)),
-        Assign("chl", _num(1)),
+        Assign("a1", num(1)),
+        Assign("w1", num(1)),
+        Assign("pc1", num(halt if entry is None else entry)),
+        Assign("bnd", num(initial_bound)),
+        Assign("chl", num(1)),
     ]
-    return seq_of(inits + [While(Cmp(">", alive_sum, _num(0)),
+    return seq_of(inits + [While(Cmp(">", alive_sum, num(0)),
                                  seq_of(round_body))])

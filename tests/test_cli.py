@@ -386,10 +386,10 @@ def test_hydra_play_too_many_copies_is_an_illegal_move(capsys, evolutions):
     started = time.time()
     assert main(["hydra", "play", "--tree", "((()))", "--hercules",
                  "leftmost-deepest", "--evolutions", evolutions]) == 2
-    out = capsys.readouterr().out
+    err = capsys.readouterr().err
     assert time.time() - started < 1
-    assert out.endswith(f"illegal move: {evolutions} evolutions regrow more "
-                        f"copies than fit in memory\n")
+    assert err == (f"error: illegal move: {evolutions} evolutions regrow "
+                   f"more copies than fit in memory\n")
 
 
 def test_hydra_play_too_many_copies_is_asked_again(monkeypatch, capsys):
@@ -399,6 +399,54 @@ def test_hydra_play_too_many_copies_is_asked_again(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "illegal move: 1000000000 evolutions" in out
     assert out.endswith("the hydra is dead: Hercules wins\n")
+
+
+def _typed(monkeypatch, answers):
+    """Read input() from answers, then end of input."""
+    answers = iter(answers)
+
+    def fake_input(*args):
+        try:
+            return next(answers)
+        except StopIteration:
+            raise EOFError from None
+
+    monkeypatch.setattr("builtins.input", fake_input)
+
+
+@pytest.mark.parametrize("seed, code, line", [
+    ("0", 2, "survived with probability 1/2; T now 16\n"),
+    ("1", 0, "evolution 1 failed: the hydra implodes, Hercules wins\n"),
+])
+def test_hydra_play_empty_evolutions_answer_takes_the_option(
+        monkeypatch, capsys, seed, code, line):
+    # An empty answer plays --evolutions, as a scripted round does; one
+    # evolution survives with probability 1/2 or the hydra implodes.
+    _typed(monkeypatch, ["0.0", ""])
+    assert main(["hydra", "play", "--tree", "((()))", "--evolutions", "1",
+                 "--seed", seed]) == code
+    assert line in capsys.readouterr().out
+
+
+def test_hydra_play_empty_answer_on_a_root_head_takes_none(monkeypatch,
+                                                           capsys):
+    # Heads on the root have no grandparent: an empty answer plays 0
+    # evolutions whatever --evolutions says.
+    _typed(monkeypatch, ["0", "", "0", ""])
+    assert main(["hydra", "play", "--tree", "(()())",
+                 "--evolutions", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "illegal move" not in out
+    assert out.count("survived with probability 1;") == 2
+    assert out.endswith("the hydra is dead: Hercules wins\n")
+
+
+@pytest.mark.parametrize("action", ["rank", "compile", "play"])
+def test_too_deep_hydra_exits_2(capsys, action):
+    line = "(" * 3000 + ")" * 3000
+    assert main(["hydra", action, "--tree", line]) == 2
+    assert capsys.readouterr() == (
+        "", "error: hydra nests too deeply for this analysis\n")
 
 
 HYDRA_TREES = ["()", "(())", "(()())", "((()))", "((())())", "((()())(()))",
@@ -714,6 +762,16 @@ def test_well_formed_graph_file_still_checks(tmp_path, capsys):
                  "'int' object is not subscriptable", id="node-not-object"),
     pytest.param(lambda g: g.update(initial=5),
                  "initial node 5 is missing", id="missing-initial"),
+    # Python compares false and 0.0 equal to 0, and true to 1.
+    pytest.param(lambda g: g.update(initial=False),
+                 "initial node false is missing", id="initial-false"),
+    pytest.param(lambda g: g["nodes"][0].update(id=0.0),
+                 'node 0 is {"id": 0.0, "key": "x := 1 | ", '
+                 '"kind": "deterministic"}, re-derived ' + ASSIGNMENT_0,
+                 id="id-float"),
+    pytest.param(lambda g: g["edges"][0].update({"from": False, "to": True}),
+                 'edge 0 is {"from": false, "label": "det", "to": true}, '
+                 're-derived ' + EDGE_0_1, id="edge-booleans"),
     pytest.param([1], "list indices must be integers or slices, not str",
                  id="file-not-object"),
     pytest.param(lambda g: g.update(comment="made by hand"),

@@ -7,7 +7,7 @@ from pastlab import ordinal
 from pastlab.hydra import (EncodingWidthError, HydraError, HydraState,
                            LeftmostDeepest, RandomLeaf, T, Tree, LEAF,
                            canonical_shape, compile_to_pgcl, depth,
-                           head_count, leaves, node_count,
+                           head_count, leaves, node_count, nodes,
                            parse_hydra, play_round, surviving)
 from pastlab.ordinal import OMEGA, ZERO, from_natural, natural_sum
 from pastlab.semantics import Direction, head_redex, initial_state
@@ -303,9 +303,9 @@ def test_compile_depth_cap():
 
 def test_compile_random_strategy():
     state = parse_hydra("((()())(()))")
-    shuffled = compile_to_pgcl(state, ("random", 3))
+    shuffled = compile_to_pgcl(state, RandomLeaf(3))
     assert is_knievel(shuffled)
-    again = compile_to_pgcl(state, ("random", 3))
+    again = compile_to_pgcl(state, RandomLeaf(3))
     assert shuffled == again  # deterministic per seed
 
 
@@ -327,3 +327,41 @@ def test_node_count_combines_a_shared_subtree_once():
     start = time.perf_counter()
     assert node_count(star) == 1 + 4 * 10 ** 6
     assert time.perf_counter() - start < 1
+
+
+def test_round_on_a_deep_chain():
+    # Deeper than the interpreter's recursion limit: the round rebuilds the
+    # path to the chopped head without recursing.
+    chain = LEAF
+    for _ in range(3000):
+        chain = Tree((chain,))
+    survivor = surviving(play_round(HydraState(chain), (0,) * 3000, 0))
+    assert depth(survivor.result.tree) == 2999
+    assert head_count(survivor.result.tree) == 4
+
+
+def test_regrown_copies_share_one_subtree():
+    state = parse_hydra("(((()()))(()))")
+    grown = surviving(play_round(state, (0, 0, 1), 1)).result
+    copies = grown.node((0,)).children
+    assert len(copies) == 16
+    assert all(copy is copies[0] for copy in copies)
+    assert canonical_shape(copies[0]) == "(())"
+    # Only the path to the grandparent is rebuilt.
+    assert grown.tree.children[1] is state.tree.children[1]
+
+
+def test_strategy_priority():
+    assert LeftmostDeepest().priority(3) == [3, 2, 1, 0]
+    assert LeftmostDeepest().priority(0) == [0]
+    shuffled = RandomLeaf(3).priority(3)
+    assert sorted(shuffled) == [0, 1, 2, 3]
+    assert shuffled == RandomLeaf(3).priority(3)
+
+
+def test_nodes_in_document_order():
+    tree = parse_hydra("((())())").tree
+    assert [path for path, _ in nodes(tree)] == [
+        (), (0,), (0, 0), (1,)]
+    assert leaves(tree) == [(0, 0), (1,)]
+    assert leaves(LEAF) == []
