@@ -328,3 +328,34 @@ def test_inc_rank_requirement_grows_with_cap():
         graph, _, _ = build_inc_graph(cap)
         tops.append(max(inc_least_unit_rsm(graph).values()))
     assert tops[0] < tops[1] < tops[2]
+
+
+def random_explicit_tree(rng):
+    """A prefix-closed set of up to 12 sequences: each one after the root
+    adds a child of small index below a sequence already drawn."""
+    seqs = [()]
+    for _ in range(rng.randrange(12)):
+        seqs.append(rng.choice(seqs) + (rng.randrange(4),))
+    return explicit_tree(seqs)
+
+
+def emitter_specs():
+    """The rule trees, then seeded random explicit trees."""
+    rng = random.Random(11)
+    return ([rule_tree("full"), rule_tree("all-zeros")]
+            + [rule_tree(f"bounded-depth({d})") for d in range(4)]
+            + [random_explicit_tree(rng) for _ in range(41)])
+
+
+def test_emitters_output_is_pinned():
+    # SHA-256 of the printed reduction and ordinal program of every spec,
+    # then of the increment gadget uncapped and under caps 1 to 8.
+    digest = hashlib.sha256()
+    for spec in emitter_specs():
+        for emit in (emit_tree_reduction, emit_ordinal_program):
+            digest.update(print_program(emit(spec)).encode() + b"\0")
+    for cap in [None] + list(range(1, 9)):
+        digest.update(print_program(emit_inc(cap)).encode() + b"\0")
+    assert digest.hexdigest() == (
+        "f512e2c1ca2691d5c52baee301cc0adbe3979dbd2933d9f65a8810ad7b8a0ffa")
+
