@@ -24,9 +24,8 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .ordinal import Ordinal
-from .syntax import (ABin, Assign, BoolLit, Cmp, EMPTY, EXIT, If,
-                     NondetChoice, Program, Var, While, seq_of)
-from .transforms import COIN, chain, num
+from .syntax import Program, parse
+from .transforms import COIN
 
 
 class HydraError(ValueError):
@@ -321,27 +320,20 @@ def _class_counts(h: HydraState):
     return [classes[c] for c in range(1, max(classes, default=0) + 1)], b
 
 
-def _evolution_block() -> Program:
-    evolve_choice = NondetChoice(Assign("evolve", num(0)),
-                                 Assign("evolve", num(1)))
-    body = seq_of([
-        COIN,
-        Assign("n", ABin("*", num(4), Var("n"))),
-        evolve_choice,
-    ])
-    return seq_of([evolve_choice, While(Cmp("=", Var("evolve"), num(1)), body)])
+# Each evolution is a survival coin that quadruples n; the Hydra chooses
+# before each one whether to attempt it.
+_EVOLUTION_BLOCK = ("{ evolve := 0 } [] { evolve := 1 };\n"
+                    "while (evolve = 1) { %s; n := 4 * n; "
+                    "{ evolve := 0 } [] { evolve := 1 } }" % COIN)
 
 
-def _round_program(c: int) -> Program:
+def _round_program(c: int) -> str:
     """One round chopping a leaf in class c (c = 0 chops a root leaf)."""
     if c == 0:
-        return Assign("b", ABin("-", Var("b"), num(1)))
-    gain = "b" if c == 1 else f"h{c - 1}"
-    return seq_of([
-        Assign(f"h{c}", ABin("-", Var(f"h{c}"), num(1))),
-        _evolution_block(),
-        Assign(gain, ABin("+", Var(gain), Var("n"))),
-    ])
+        return "b := b - 1"
+    gain = "b" if c == 1 else "h%d" % (c - 1)
+    return "h%d := h%d - 1;\n%s;\n%s := %s + n" % (c, c, _EVOLUTION_BLOCK,
+                                                    gain, gain)
 
 
 def compile_to_pgcl(h: HydraState,
@@ -355,17 +347,18 @@ def compile_to_pgcl(h: HydraState,
     """
     counts, b = _class_counts(h)
     width = len(counts)
-    total = Var("b")
+    inits = "; ".join(["n := %d" % h.n, "b := %d" % b] + [
+        "h%d := %d" % (c, count) for c, count in enumerate(counts, start=1)])
+    # The live count nests to the right; the parser reads a + b + c as
+    # (a + b) + c.
+    total = "b"
     for c in range(1, width + 1):
-        total = ABin("+", Var(f"h{c}"), total)
-
-    body = seq_of([
-        If(Cmp("=", total, num(0)), EXIT, EMPTY),
-        chain([(Cmp(">", Var(f"h{c}" if c else "b"), num(0)),
-                 _round_program(c)) for c in hercules.priority(width)],
-              EMPTY),
-    ])
-    inits = [Assign("n", num(h.n)), Assign("b", num(b))]
-    inits += [Assign(f"h{c}", num(count))
-              for c, count in enumerate(counts, start=1)]
-    return seq_of(inits + [While(BoolLit(True), body)])
+        total = "h%d + (%s)" % (c, total)
+    dispatch = " else { ".join(
+        "if (%s > 0) { %s }" % ("h%d" % c if c else "b", _round_program(c))
+        for c in hercules.priority(width)) + " }" * width
+    return parse("""\
+%s;
+while (true) {
+  if (%s = 0) { exit };
+  %s }""" % (inits, total, dispatch))

@@ -380,23 +380,19 @@ class _Parser:
     # -- arithmetic expressions (precedence: unary -, then *, then + -) -----
 
     def aexpr(self) -> AExpr:
-        left = self.multiplicative()
-        while self.cur.text in ("+", "-"):
+        """A sum of products of atoms, every operator grouping to the left.
+        The products are read here rather than by a method of their own,
+        so a level of parentheses costs two frames: this one and atom's."""
+        left, op = None, None
+        while True:
+            right = self.atom()
+            while self.accept("*"):
+                right = ABin("*", right, self.atom())
+            left = right if op is None else ABin(op, left, right)
             op = self.cur.text
+            if op not in ("+", "-"):
+                return left
             self.pos += 1
-            left = ABin(op, left, self.multiplicative())
-        return left
-
-    def multiplicative(self) -> AExpr:
-        left = self.unary()
-        while self.accept("*"):
-            left = ABin("*", left, self.unary())
-        return left
-
-    def unary(self) -> AExpr:
-        if self.accept("-"):
-            return Neg(self.unary())
-        return self.atom()
 
     def integer(self, tok) -> int:
         if len(tok.text) > MAX_DIGITS:
@@ -405,6 +401,8 @@ class _Parser:
         return int(tok.text)
 
     def atom(self) -> AExpr:
+        if self.accept("-"):
+            return Neg(self.atom())
         tok = self.cur
         if tok.kind == "int":
             self.pos += 1

@@ -45,9 +45,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .syntax import (ABin, Assign, BBin, BoolLit, Cmp, EMPTY, EXIT, Empty,
-                     Exit, If, NondetChoice, ProbChoice, Program, RatLit, SKIP,
-                     Seq, Skip, Var, While, seq_of, subterms, term_fields)
+from .syntax import (ABin, Assign, Cmp, EMPTY, Empty, Exit, If,
+                     NondetChoice, ProbChoice, Program, RatLit, Seq, Skip, Var,
+                     While, parse, print_rational, seq_of, subterms,
+                     term_fields)
 from .semantics import eval_aexpr, EMPTY_VALUATION
 
 
@@ -160,14 +161,11 @@ def is_knievel(p: Program) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Shared construction helpers
+# Shared construction pieces
 # ---------------------------------------------------------------------------
 
 def num(value) -> RatLit:
     return RatLit(Fraction(value))
-
-
-COIN = ProbChoice(SKIP, num(Fraction(1, 2)), EXIT)
 
 
 def chain(conditions, otherwise: Program) -> Program:
@@ -178,93 +176,71 @@ def chain(conditions, otherwise: Program) -> Program:
     return prog
 
 
-def _append_child(child_expr) -> Program:
-    """node := pair(node, child); len := len + 1, with the triangular number
-    of node + child computed by a counting loop."""
-    return seq_of([
-        Assign("d", ABin("+", Var("node"), child_expr)),
-        Assign("t", num(0)),
-        Assign("i", num(0)),
-        While(Cmp("<", Var("i"), Var("d")), seq_of([
-            Assign("i", ABin("+", Var("i"), num(1))),
-            Assign("t", ABin("+", Var("t"), Var("i"))),
-        ])),
-        Assign("node", ABin("+", Var("t"), Var("node"))),
-        Assign("len", ABin("+", Var("len"), num(1))),
-    ])
+# The tree emitters and the increment gadget are written in pGCL and built
+# by the parser, so each program is the term that parsing its printed text
+# gives.  to_knievel splices renamed source expressions, so it builds terms.
+
+# The survival coin of the normal form: continue or die.
+COIN = "{ skip } <1/2> { exit }"
+
+# node := pair(node, x - 1); len := len + 1, with the triangular number of
+# node + x - 1 computed by a counting loop.
+_APPEND_CHILD = """\
+d := node + (x - 1); t := 0; i := 0;
+while (i < d) { i := i + 1; t := t + i };
+node := t + node; len := len + 1"""
 
 
-def _membership_check(spec: TreeSpec) -> Program:
+def _membership_check(spec: TreeSpec) -> str:
     """Set z to 1 exactly when the packed (node, len) pair encodes a
     sequence of the tree."""
     if spec.rule == "full":
-        return Assign("z", num(1))
+        return "z := 1"
     if spec.rule == "all-zeros":
-        return If(Cmp("=", Var("node"), num(0)),
-                  Assign("z", num(1)), Assign("z", num(0)))
+        return "if (node = 0) { z := 1 } else { z := 0 }"
     if spec.rule == "bounded-depth":
-        return If(Cmp("<=", Var("len"), num(spec.depth)),
-                  Assign("z", num(1)), Assign("z", num(0)))
-    conditions = []
-    for seq in sorted(spec.explicit):
-        guard = BBin("and",
-                     Cmp("=", Var("len"), num(len(seq))),
-                     Cmp("=", Var("node"), num(encode_sequence(seq))))
-        conditions.append((guard, Assign("z", num(1))))
-    return chain(conditions, Assign("z", num(0)))
+        return "if (len <= %d) { z := 1 } else { z := 0 }" % spec.depth
+    # print_rational refuses a code of more digits than a literal may have.
+    tests = ["if (len = %d and node = %s) { z := 1 }"
+             % (len(seq), print_rational(encode_sequence(seq)))
+             for seq in sorted(spec.explicit)]
+    return " else { ".join(tests + ["z := 0"]) + " }" * len(tests)
 
 
 # ---------------------------------------------------------------------------
 # The tree reduction (guessing program with cheering)
 # ---------------------------------------------------------------------------
 
-def _numgen_block() -> Program:
-    """Nondeterministically stopped counting loop leaving the count in x.
-
-    Each continued iteration costs one survival coin and doubles the global
-    s, so 1/s tracks the probability of the live branch; the closing wait
-    loop of length s then adds exactly one to the expected runtime."""
-    return seq_of([
-        Assign("x", num(0)),
-        Assign("y", num(0)),
-        Assign("w", num(0)),
-        While(Cmp("=", Var("y"), num(0)), seq_of([
-            Assign("x", ABin("+", Var("x"), num(1))),
-            NondetChoice(Assign("y", num(0)), Assign("y", num(1))),
-            If(Cmp("=", Var("y"), num(0)), seq_of([
-                COIN,
-                Assign("s", ABin("*", num(2), Var("s"))),
-            ]), EMPTY),
-        ])),
-        While(Cmp("<", Var("w"), Var("s")),
-              Assign("w", ABin("+", Var("w"), num(1)))),
-    ])
+# A nondeterministically stopped counting loop leaving the count in x.  Each
+# continued iteration costs one survival coin and doubles the global s, so
+# 1/s tracks the probability of the live branch; the closing wait loop of
+# length s then adds exactly one to the expected runtime.
+_NUMGEN_BLOCK = """\
+x := 0; y := 0; w := 0;
+while (y = 0) {
+  x := x + 1; { y := 0 } [] { y := 1 };
+  if (y = 0) { %s; s := 2 * s } };
+while (w < s) { w := w + 1 }""" % COIN
 
 
 def emit_tree_reduction(spec: TreeSpec) -> Program:
     """The guessing program for a tree: schedulers choose a branch child by
     child; walking off the tree triggers one probe for a validated deeper
     node (disconnected input: loop forever) and otherwise stops."""
-    edge_case = If(Cmp("=", Var("z"), num(0)), seq_of([
-        _numgen_block(),
-        Assign("n2", ABin("-", Var("x"), num(1))),
-        While(Cmp(">", Var("n2"), num(0)), seq_of([
-            _numgen_block(),
-            _append_child(ABin("-", Var("x"), num(1))),
-            Assign("n2", ABin("-", Var("n2"), num(1))),
-        ])),
-        _membership_check(spec),
-        If(Cmp("=", Var("z"), num(1)),
-           While(BoolLit(True), SKIP), EMPTY),
-        EXIT,
-    ]), EMPTY)
-    body = seq_of([
-        _numgen_block(),
-        _append_child(ABin("-", Var("x"), num(1))),
-        _membership_check(spec),
-        edge_case,
-    ])
-    return seq_of([Assign("s", num(1)), While(BoolLit(True), body)])
+    return parse("""\
+s := 1;
+while (true) {
+  %(numgen)s;
+  %(append)s;
+  %(check)s;
+  if (z = 0) {
+    %(numgen)s;
+    n2 := x - 1;
+    while (n2 > 0) { %(numgen)s; %(append)s; n2 := n2 - 1 };
+    %(check)s;
+    if (z = 1) { while (true) { skip } };
+    exit } }""" % {"numgen": _NUMGEN_BLOCK, "append": _APPEND_CHILD,
+                   "check": _membership_check(spec)})
 
 
 # ---------------------------------------------------------------------------
@@ -274,54 +250,37 @@ def emit_tree_reduction(spec: TreeSpec) -> Program:
 MACHINE_STEPS = 2  # membership machine steps simulated per check
 
 
+def _inc(guard: str) -> str:
+    """The increment gadget, doubling while guard holds."""
+    return """\
+ix := 1; iy := 0;
+while (%s) { ix := 2 * ix; { iy := 0 } [] { iy := 1 }; %s };
+while (ix > 0) { ix := ix - 1 }""" % (guard, COIN)
+
+
 def emit_inc(cap: Optional[int] = None) -> Program:
     """The increment gadget: a scheduler-chosen doubling run, one survival
     coin per iteration, then a busy-wait of the selected length.  With cap,
     the doubling stops at the cap so the state space stays finite."""
-    guard = Cmp("=", Var("iy"), num(0))
-    if cap is not None:
-        guard = BBin("and", guard, Cmp("<", Var("ix"), num(cap)))
-    return seq_of([
-        Assign("ix", num(1)),
-        Assign("iy", num(0)),
-        While(guard, seq_of([
-            Assign("ix", ABin("*", num(2), Var("ix"))),
-            NondetChoice(Assign("iy", num(0)), Assign("iy", num(1))),
-            COIN,
-        ])),
-        While(Cmp(">", Var("ix"), num(0)),
-              Assign("ix", ABin("-", Var("ix"), num(1)))),
-    ])
+    return parse(_inc("iy = 0" if cap is None
+                      else "iy = 0 and ix < %d" % cap))
 
 
 def emit_ordinal_program(spec: TreeSpec) -> Program:
     """Tree walker whose minimal rank mirrors the tree's ordinal: each
     validated child costs a run of the increment gadget."""
-    child_selection = seq_of([
-        Assign("x", num(0)),
-        Assign("y", num(0)),
-        While(Cmp("=", Var("y"), num(0)), seq_of([
-            Assign("x", ABin("+", Var("x"), num(1))),
-            NondetChoice(Assign("y", num(0)), Assign("y", num(1))),
-            COIN,
-        ])),
-    ])
-    machine = seq_of([
-        Assign("msteps", num(MACHINE_STEPS)),
-        While(Cmp(">", Var("msteps"), num(0)), seq_of([
-            COIN,
-            Assign("msteps", ABin("-", Var("msteps"), num(1))),
-        ])),
-        _membership_check(spec),
-    ])
-    body = seq_of([
-        child_selection,
-        _append_child(ABin("-", Var("x"), num(1))),
-        machine,
-        If(Cmp("=", Var("z"), num(0)), EXIT, EMPTY),
-        emit_inc(),
-    ])
-    return While(BoolLit(True), body)
+    return parse("""\
+while (true) {
+  x := 0; y := 0;
+  while (y = 0) { x := x + 1; { y := 0 } [] { y := 1 }; %(coin)s };
+  %(append)s;
+  msteps := %(steps)d;
+  while (msteps > 0) { %(coin)s; msteps := msteps - 1 };
+  %(check)s;
+  if (z = 0) { exit };
+  %(inc)s }""" % {"coin": COIN, "append": _APPEND_CHILD,
+                  "steps": MACHINE_STEPS, "check": _membership_check(spec),
+                  "inc": _inc("iy = 0")})
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +436,7 @@ def to_knievel(program: Program, horizon_policy="double") -> Program:
     round_body += [
         Assign("cer", ABin("+", Var("cer"),
                            ABin("-", num(1), Var("term")))),
-        COIN,
+        parse(COIN),
         Assign("chl", ABin("*", num(2), Var("chl"))),
         If(Cmp(">", Var("cer"), Var("bnd")), seq_of([
             Assign("bnd", ABin("*", num(2), Var("bnd"))),

@@ -336,6 +336,16 @@ def test_emit_commands(tmp_path, capsys):
     assert main(["emit", "reduction", "--tree", "no-such-rule"]) == 2
 
 
+@pytest.mark.parametrize("kind", ["reduction", "ordinal"])
+def test_emit_refuses_a_sequence_code_past_the_digit_limit(kind, capsys):
+    # The packed code of sixteen nines, and the membership check with it,
+    # has more digits than a literal may.
+    tree = json.dumps({"explicit": [[9] * k for k in range(16)]})
+    assert main(["emit", kind, "--tree", tree]) == 2
+    assert capsys.readouterr() == (
+        "", "error: rational of more than 4300 digits\n")
+
+
 def test_hydra_rank_and_compile(tmp_path, capsys):
     assert main(["hydra", "rank", "--tree", "((()))"]) == 0
     assert capsys.readouterr().out.strip() == "w"

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from pastlab.hydra import (EncodingWidthError, HydraError, HydraState,
 from pastlab.ordinal import OMEGA, ZERO, from_natural, natural_sum
 from pastlab.semantics import Direction, head_redex, initial_state
 from pastlab.scheduling import Scheduler, Ln, Rn
-from pastlab.syntax import BoolLit, While
+from pastlab.syntax import BoolLit, While, parse, print_program
 from pastlab.transforms import is_knievel
 from pastlab.exploration import exp_runtime_bounds
 from pastlab.scheduling import ConstantScheduler
@@ -365,3 +366,16 @@ def test_nodes_in_document_order():
         (), (0,), (0, 0), (1,)]
     assert leaves(tree) == [(0, 0), (1,)]
     assert leaves(LEAF) == []
+
+
+def test_compiled_game_is_what_the_parser_builds():
+    rng = random.Random(5)
+    trees = [parse_hydra(text).tree for text in (
+        "()", "(())", "(()())", "((()))", "((())())", "((()())(()))",
+        "(()(())(()()))", "((())(()))", "((()()())(())())")]
+    trees += [tree for tree in (random_tree(rng, 12) for _ in range(60))
+              if depth(tree) <= 2]
+    for tree in trees:
+        for hercules in (LeftmostDeepest(), RandomLeaf(0), RandomLeaf(1)):
+            program = compile_to_pgcl(HydraState(tree), hercules)
+            assert parse(print_program(program)) == program

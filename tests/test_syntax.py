@@ -318,13 +318,13 @@ def test_parse_error_text(fn, source, message):
 
 def test_parse_accepts_deep_nesting():
     # Through cli.main, which adds its own frames, the limits are about
-    # 490 blocks, 492 choices and 245 parentheses; these stay below them
+    # 490 blocks, 490 choices and 490 parentheses; these stay below them
     # by a margin for pytest's frames.
     ifs = parse("if (x = 0) { " * 400 + "skip" + " }" * 400)
     assert sum(isinstance(t, If) for t in subterms(ifs)) == 400
     choices = parse("{ " * 400 + "skip" + " } <1/2> { skip }" * 400)
     assert sum(isinstance(t, ProbChoice) for t in subterms(choices)) == 400
-    assert parse("x := " + "(" * 150 + "y" + ")" * 150) == Assign("x",
+    assert parse("x := " + "(" * 400 + "y" + ")" * 400) == Assign("x",
                                                                   Var("y"))
 
 

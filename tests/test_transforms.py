@@ -359,3 +359,11 @@ def test_emitters_output_is_pinned():
     assert digest.hexdigest() == (
         "f512e2c1ca2691d5c52baee301cc0adbe3979dbd2933d9f65a8810ad7b8a0ffa")
 
+
+
+def test_emitted_programs_are_what_the_parser_builds():
+    programs = [emit(spec) for spec in emitter_specs()
+                for emit in (emit_tree_reduction, emit_ordinal_program)]
+    programs += [emit_inc(cap) for cap in [None] + list(range(1, 9))]
+    for program in programs:
+        assert parse(print_program(program)) == program
