@@ -148,7 +148,8 @@ def _read(parse, value, what: str):
                                f"{reprlib.repr(value)}: not a JSON string")
     try:
         return parse(value)
-    except (ValueError, TypeError, AttributeError, ArithmeticError) as exc:
+    except (ValueError, TypeError, AttributeError, ArithmeticError,
+            RecursionError) as exc:
         raise CertificateError(f"certificate has a bad {what} "
                                f"{reprlib.repr(value)}") from exc
 

@@ -59,6 +59,8 @@ def _read_json(path: str):
         raise CliError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # also an integer too long to convert
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CliError(f"{path}: invalid JSON: nests too deeply") from exc
 
 
 def _open_output(path: str):
@@ -290,6 +292,9 @@ def _tree_spec(text: str) -> transforms.TreeSpec:
         return transforms.rule_tree(text)
     except (transforms.TransformError, json.JSONDecodeError, ValueError) as exc:
         raise CliError(f"bad tree spec {text!r}: {exc}") from exc
+    except RecursionError as exc:
+        raise CliError(f"bad tree spec {text!r}: invalid JSON: "
+                       f"nests too deeply") from exc
 
 
 def cmd_emit(args) -> int:
@@ -531,7 +536,15 @@ def main(argv=None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         _validate(args)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # The reader of stdout is gone.  Point fd 1 at os.devnull, so that
+        # the interpreter's flush at exit writes what is left there quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 2
     except (CliError,
             certificates.CertificateError,
             exploration.ResourceCapExceeded,

@@ -89,11 +89,12 @@ def leaves(tree: Tree) -> List[tuple]:
     return [path for path, t in nodes(tree) if path and t.is_leaf()]
 
 
-def _fold(tree: Tree, combine):
+def _fold(tree: Tree, combine, memo=None):
     """combine(t, values of t's children) for the root, children first, by
-    an explicit stack.  Results are memoised by id, so a subtree object
-    shared by many parents is combined once."""
-    memo = {}
+    an explicit stack.  Results are memoised by id in memo, a new dict when
+    none is given, so a subtree object shared by many parents is combined
+    once and a caller that passes memo can read every subtree's value."""
+    memo = {} if memo is None else memo
     stack = [(tree, iter(tree.children))]
     while stack:
         t, children = stack[-1]
@@ -118,17 +119,24 @@ def head_count(tree: Tree) -> int:
     return _fold(tree, lambda t, below: sum(below) if below else 1)
 
 
+def _count(t, below):
+    return 1 + sum(below)
+
+
+def _shape(t, below):
+    return "(" + "".join(sorted(below, reverse=True)) + ")"
+
+
 def node_count(tree: Tree) -> int:
-    return _fold(tree, lambda t, below: 1 + sum(below))
+    return _fold(tree, _count)
 
 
 def canonical_shape(tree: Tree) -> str:
     """Parenthesised canonical form; equal strings mean isomorphic trees."""
-    return _fold(tree, lambda t, below:
-                 "(" + "".join(sorted(below, reverse=True)) + ")")
+    return _fold(tree, _shape)
 
 
-def parse_hydra(text: str, n: int = 4) -> HydraState:
+def parse_hydra(text: str) -> HydraState:
     """Nested-parentheses form: "(()())" is a root with two leaf children."""
     text = text.strip()
     pos = 0
@@ -149,7 +157,7 @@ def parse_hydra(text: str, n: int = 4) -> HydraState:
     tree = node()
     if pos != len(text):
         raise HydraError(f"trailing input at offset {pos} in {text!r}")
-    return HydraState(tree, n)
+    return HydraState(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +268,18 @@ class LeftmostDeepest:
         if not candidates:
             raise HydraError("no heads left")
 
+        # The node count and shape of every subtree, by id, from one fold
+        # each: a node's subtree is on the path of every head below it.
+        counts, shapes = {}, {}
+        _fold(h.tree, _count, counts)
+        _fold(h.tree, _shape, shapes)
+
         def rank(path):
             keys = []
             t = h.tree
             for i in path:
                 t = t.children[i]
-                keys.append((node_count(t), canonical_shape(t)))
+                keys.append((counts[id(t)], shapes[id(t)]))
             return (len(path), tuple(keys))
 
         return max(candidates, key=rank)

@@ -1,7 +1,11 @@
 import argparse
 import hashlib
 import json
+import os
 import pathlib
+import reprlib
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -955,6 +959,37 @@ def test_malformed_certificate_file_exits_2(tmp_path, capsys, command, cert,
     assert captured.err == f"error: {message}\n"
 
 
+DEEP_RANK = "w^(" * 1500 + "1" + ")" * 1500
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["check-rsm", "{deep}", "{graph}"],
+                 "{deep}: invalid JSON: nests too deeply", id="check-rsm"),
+    pytest.param(["emit", "reduction", "--tree", "{deep}"],
+                 "{deep}: invalid JSON: nests too deeply", id="emit"),
+    pytest.param(["check-rule", "{graph}", "{cert}"],
+                 f"certificate has a bad rank {reprlib.repr(DEEP_RANK)}",
+                 id="check-rule"),
+])
+def test_deep_json_or_rank_is_blamed_on_its_file(tmp_path, capsys, argv,
+                                                 message):
+    paths = {"deep": tmp_path / "deep.json", "graph": tmp_path / "graph.json",
+             "cert": tmp_path / "cert.json"}
+    paths["deep"].write_text("[" * 100000 + "]" * 100000)
+    paths["graph"].write_text(json.dumps(ONE_ASSIGNMENT))
+    paths["cert"].write_text(json.dumps(
+        {"g": {**ONE_ASSIGNMENT_RANK, "x := 1 | ": DEEP_RANK}, "k": {}}))
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(**paths)}\n")
+
+
+def test_deep_inline_tree_spec_exits_2(capsys):
+    text = '{"explicit": ' + "[" * 100000 + "]" * 100000 + "}"
+    assert main(["emit", "reduction", "--tree", text]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: bad tree spec {text!r}: invalid JSON: nests too deeply\n")
+
+
 # A text refused in the last k entry, after the same number written plainly
 # in the earlier ones, is refused as if it were the first: a load reads each
 # accepted value text once.
@@ -1085,6 +1120,28 @@ def test_too_deep_program_exits_2(tmp_path, capsys, argv, source):
     assert captured.out == ""
     assert captured.err == \
         "error: program nests too deeply for this analysis\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", str(PROGRAMS / "geometric.pgcl")],
+    ["run", str(PROGRAMS / "geometric.pgcl")],
+    ["graph", str(PROGRAMS / "geometric.pgcl")],
+    ["hydra", "rank", "--tree", "((()))"],
+], ids=["parse", "run", "graph", "hydra-rank"])
+def test_closed_stdout_exits_2_with_one_line(argv):
+    # stdout is a pipe whose read end is already closed, so the first write
+    # to it fails, however little the command prints.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pastlab.cli", *argv], stdout=write,
+            stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(PROGRAMS.parent / "src")})
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (
+        2, "error: cannot write to stdout: [Errno 32] Broken pipe\n")
 
 
 def test_parse_prints_a_long_sequence(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pastlab import ordinal
+from pastlab import hydra, ordinal
 from pastlab.hydra import (EncodingWidthError, HydraError, HydraState,
                            LeftmostDeepest, RandomLeaf, T, Tree, LEAF,
                            canonical_shape, compile_to_pgcl, depth,
@@ -191,6 +191,36 @@ def test_hercules_strategies():
     first = RandomLeaf(9).choose(parse_hydra("(()()())"))
     again = RandomLeaf(9).choose(parse_hydra("(()()())"))
     assert first == again  # deterministic per seed
+
+
+def test_leftmost_deepest_folds_each_subtree_once(monkeypatch):
+    # A choice folds the tree a fixed number of times however many heads
+    # hang under one node, and picks the head that ranking every path's
+    # subtrees afresh picks.
+    rng = random.Random(3)
+    for tree in [random_tree(rng, 30) for _ in range(40)]:
+        def fresh_rank(path):
+            subtrees = [tree]
+            for i in path:
+                subtrees.append(subtrees[-1].children[i])
+            return (len(path), tuple((node_count(t), canonical_shape(t))
+                                     for t in subtrees[1:]))
+
+        assert LeftmostDeepest().choose(HydraState(tree)) == \
+            max(leaves(tree), key=fresh_rank)
+    fold, calls = hydra._fold, []
+
+    def counting_fold(*args):
+        calls.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(hydra, "_fold", counting_fold)
+    folds = []
+    for heads in (50, 400):
+        calls.clear()
+        LeftmostDeepest().choose(parse_hydra("((" + "()" * heads + "))"))
+        folds.append(len(calls))
+    assert folds[0] == folds[1]
 
 
 # ---------------------------------------------------------------------------
