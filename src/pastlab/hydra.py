@@ -91,9 +91,8 @@ def leaves(tree: Tree) -> List[tuple]:
 
 def _fold(tree: Tree, combine, memo=None):
     """combine(t, values of t's children) for the root, children first, by
-    an explicit stack.  Results are memoised by id in memo, a new dict when
-    none is given, so a subtree object shared by many parents is combined
-    once and a caller that passes memo can read every subtree's value."""
+    an explicit stack.  Results are memoised by id in memo, so a subtree
+    object shared by many parents is combined once."""
     memo = {} if memo is None else memo
     stack = [(tree, iter(tree.children))]
     while stack:
@@ -119,16 +118,12 @@ def head_count(tree: Tree) -> int:
     return _fold(tree, lambda t, below: sum(below) if below else 1)
 
 
-def _count(t, below):
-    return 1 + sum(below)
+def node_count(tree: Tree) -> int:
+    return _fold(tree, lambda t, below: 1 + sum(below))
 
 
 def _shape(t, below):
     return "(" + "".join(sorted(below, reverse=True)) + ")"
-
-
-def node_count(tree: Tree) -> int:
-    return _fold(tree, _count)
 
 
 def canonical_shape(tree: Tree) -> str:
@@ -268,10 +263,10 @@ class LeftmostDeepest:
         if not candidates:
             raise HydraError("no heads left")
 
-        # The node count and shape of every subtree, by id, from one fold
-        # each: a node's subtree is on the path of every head below it.
-        counts, shapes = {}, {}
-        _fold(h.tree, _count, counts)
+        # The shape of every subtree, by id, from one fold.  A shape has
+        # two characters per node, so (length, shape) orders by node count
+        # first.
+        shapes = {}
         _fold(h.tree, _shape, shapes)
 
         def rank(path):
@@ -279,7 +274,7 @@ class LeftmostDeepest:
             t = h.tree
             for i in path:
                 t = t.children[i]
-                keys.append((counts[id(t)], shapes[id(t)]))
+                keys.append((len(shapes[id(t)]), shapes[id(t)]))
             return (len(path), tuple(keys))
 
         return max(candidates, key=rank)
@@ -363,11 +358,10 @@ def compile_to_pgcl(h: HydraState,
     width = len(counts)
     inits = "; ".join(["n := %d" % h.n, "b := %d" % b] + [
         "h%d := %d" % (c, count) for c, count in enumerate(counts, start=1)])
-    # The live count nests to the right; the parser reads a + b + c as
+    # The live count nests to the right: the parser reads a + b + c as
     # (a + b) + c.
-    total = "b"
-    for c in range(1, width + 1):
-        total = "h%d + (%s)" % (c, total)
+    names = ["h%d" % c for c in range(width, 0, -1)] + ["b"]
+    total = " + (".join(names) + ")" * width
     dispatch = " else { ".join(
         "if (%s > 0) { %s }" % ("h%d" % c if c else "b", _round_program(c))
         for c in hercules.priority(width)) + " }" * width

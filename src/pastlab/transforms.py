@@ -164,18 +164,6 @@ def is_knievel(p: Program) -> bool:
 # Shared construction pieces
 # ---------------------------------------------------------------------------
 
-def num(value) -> RatLit:
-    return RatLit(Fraction(value))
-
-
-def chain(conditions, otherwise: Program) -> Program:
-    """Nested if dispatch: first matching condition wins."""
-    prog = otherwise
-    for guard, body in reversed(conditions):
-        prog = If(guard, body, prog)
-    return prog
-
-
 # The tree emitters and the increment gadget are written in pGCL and built
 # by the parser, so each program is the term that parsing its printed text
 # gives.  to_knievel splices renamed source expressions, so it builds terms.
@@ -288,6 +276,18 @@ while (true) {
 # ---------------------------------------------------------------------------
 
 MAX_WIDTH = 8  # simultaneous source branches the simulator has slots for
+
+
+def num(value) -> RatLit:
+    return RatLit(Fraction(value))
+
+
+def chain(conditions, otherwise: Program) -> Program:
+    """Nested if dispatch: first matching condition wins."""
+    prog = otherwise
+    for guard, body in reversed(conditions):
+        prog = If(guard, body, prog)
+    return prog
 
 
 def _source_vars(program: Program) -> list:
